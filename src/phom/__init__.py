@@ -29,10 +29,7 @@ from .generators import (
 )
 from .homology import (
     BoundaryMatrix,
-    SignedChain,
     betti_numbers,
-    boundary_signed,
-    boundary_squared_is_zero,
     build_boundary_matrix,
 )
 from .persistence import (
@@ -78,12 +75,9 @@ __all__ = [
     "PhomError",
     "PointCloud",
     "ResourceError",
-    "SignedChain",
     "Simplex",
     "betti_curve",
     "betti_numbers",
-    "boundary_signed",
-    "boundary_squared_is_zero",
     "build_boundary_matrix",
     "build_vr",
     "diagonal_cost",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import generators, geometry, persistence, svgplot, vr, wasserstein
@@ -82,22 +81,8 @@ def _add_complex_flags(p, with_max_dim=True):
     )
 
 
-def _env_threads() -> int | None:
-    raw = os.environ.get("PHOM_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
 def _make_parser() -> _Parser:
     top = _Parser(prog="phom", description=__doc__.splitlines()[0])
-    top.add_argument(
-        "--threads",
-        type=int,
-        default=_env_threads(),
-        help="reserved worker-count override; results never depend on it",
-    )
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate one of the built-in point clouds")
@@ -308,9 +293,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads is None or args.threads < 1:
-        print("error: --threads (or PHOM_THREADS) must be an integer >= 1", file=sys.stderr)
-        return 1
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:

@@ -1,10 +1,7 @@
-"""Boundary operator, boundary matrices over GF(2), and Betti numbers.
+"""Boundary matrices over GF(2) and Betti numbers.
 
-Chains carry integer coefficients in the signed variant, which exists to
-state the alternating-sign boundary formula and check that applying the
-boundary twice annihilates everything. Rank computations for Betti
-numbers run over GF(2), where a column is just the set of its facet
-indices and column addition is symmetric difference.
+Rank computations run over GF(2), where a column is just the set of its
+facet indices and column addition is symmetric difference.
 """
 
 from __future__ import annotations
@@ -12,97 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .vr import Filtration, Simplex
+from .vr import Filtration
 
 __all__ = [
-    "SignedChain",
     "BoundaryMatrix",
-    "boundary_signed",
-    "boundary_squared_is_zero",
     "build_boundary_matrix",
     "betti_numbers",
 ]
-
-
-class SignedChain:
-    """Formal integer combination of simplices, kept in canonical form:
-    no zero coefficients, each simplex at most once."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        acc: dict[Simplex, int] = {}
-        for simplex, coeff in terms:
-            if not isinstance(simplex, Simplex):
-                simplex = Simplex(simplex)
-            c = acc.get(simplex, 0) + int(coeff)
-            if c:
-                acc[simplex] = c
-            elif simplex in acc:
-                del acc[simplex]
-        self._terms = acc
-
-    def terms(self) -> list[tuple[Simplex, int]]:
-        """Terms sorted by (dimension, vertices)."""
-        return sorted(self._terms.items(), key=lambda t: (t[0].dim, t[0]))
-
-    def coefficient(self, simplex: Simplex) -> int:
-        return self._terms.get(simplex, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "SignedChain") -> "SignedChain":
-        return SignedChain(list(self._terms.items()) + list(other._terms.items()))
-
-    def __neg__(self) -> "SignedChain":
-        return SignedChain((s, -c) for s, c in self._terms.items())
-
-    def __sub__(self, other: "SignedChain") -> "SignedChain":
-        return self + (-other)
-
-    def __rmul__(self, k: int) -> "SignedChain":
-        return SignedChain((s, k * c) for s, c in self._terms.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignedChain) and self._terms == other._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "SignedChain(0)"
-        parts = []
-        for s, c in self.terms():
-            sign = "-" if c < 0 else "+"
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            parts.append(f"{sign} {mag}{list(s)}")
-        text = " ".join(parts)
-        return f"SignedChain({text.lstrip('+ ')})"
-
-
-def boundary_signed(s: Simplex) -> SignedChain:
-    """Alternating-sign sum of facets: omitting vertex i carries (-1)^i.
-    A vertex has empty boundary."""
-    if s.dim == 0:
-        return SignedChain()
-    return SignedChain(
-        (facet, -1 if i % 2 else 1) for i, facet in enumerate(s.facets())
-    )
-
-
-def boundary_squared_is_zero(s: Simplex) -> SignedChain:
-    """Apply the boundary twice, extending linearly over the first result.
-
-    Always returns the zero chain; exposed as an operation so the identity
-    is directly checkable rather than taken on faith.
-    """
-    total = SignedChain()
-    for facet, coeff in boundary_signed(s).terms():
-        total = total + coeff * boundary_signed(facet)
-    return total
 
 
 @dataclass(frozen=True)

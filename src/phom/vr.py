@@ -36,11 +36,12 @@ PAPER_2EPS = "paper-2eps"
 DIAMETER_EPS = "diameter-eps"
 EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 
-# Budget guard: refuse to enumerate complexes whose bookkeeping would not
-# fit in memory. 48 bytes is a deliberately lean per-simplex estimate, so
-# the default cap is ~179M simplices against an 8 GiB budget.
+# Budget guard: refuse to enumerate complexes whose run would not fit in
+# memory. The estimate is the tracemalloc peak of a whole persist or betti
+# run per simplex, at most 647 B on the reference complexes, rounded up to
+# a multiple of 64; the default cap is ~12.2M simplices against 8 GiB.
 DEFAULT_MEMORY_BUDGET_BYTES = 8 * 1024**3
-ESTIMATED_BYTES_PER_SIMPLEX = 48
+ESTIMATED_BYTES_PER_SIMPLEX = 704
 
 
 def _birth_scale(rule: str) -> float:

@@ -1,14 +1,100 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately naive (subset scans, dense elimination,
-closed-form roots, exhaustive matching enumeration) and shares no code
-with the package, so agreement between the two is meaningful.
+left-to-right column reduction, closed-form roots, exhaustive matching
+enumeration) and shares no code with the package, so agreement between
+the two is meaningful. The one exception is the signed chain algebra: it
+is built on the package's Simplex on purpose, so that the check that the
+boundary of a boundary vanishes exercises Simplex.facets.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from phom import Simplex
+
+
+class SignedChain:
+    """Formal integer combination of simplices, kept in canonical form:
+    no zero coefficients, each simplex at most once."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=()):
+        acc: dict[Simplex, int] = {}
+        for simplex, coeff in terms:
+            if not isinstance(simplex, Simplex):
+                simplex = Simplex(simplex)
+            c = acc.get(simplex, 0) + int(coeff)
+            if c:
+                acc[simplex] = c
+            elif simplex in acc:
+                del acc[simplex]
+        self._terms = acc
+
+    def terms(self) -> list[tuple[Simplex, int]]:
+        """Terms sorted by (dimension, vertices)."""
+        return sorted(self._terms.items(), key=lambda t: (t[0].dim, t[0]))
+
+    def coefficient(self, simplex: Simplex) -> int:
+        return self._terms.get(simplex, 0)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other: "SignedChain") -> "SignedChain":
+        return SignedChain(list(self._terms.items()) + list(other._terms.items()))
+
+    def __neg__(self) -> "SignedChain":
+        return SignedChain((s, -c) for s, c in self._terms.items())
+
+    def __sub__(self, other: "SignedChain") -> "SignedChain":
+        return self + (-other)
+
+    def __rmul__(self, k: int) -> "SignedChain":
+        return SignedChain((s, k * c) for s, c in self._terms.items())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SignedChain) and self._terms == other._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return "SignedChain(0)"
+        parts = []
+        for s, c in self.terms():
+            sign = "-" if c < 0 else "+"
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            parts.append(f"{sign} {mag}{list(s)}")
+        text = " ".join(parts)
+        return f"SignedChain({text.lstrip('+ ')})"
+
+
+def boundary_signed(s: Simplex) -> SignedChain:
+    """Alternating-sign sum of facets: omitting vertex i carries (-1)^i.
+    A vertex has empty boundary."""
+    if s.dim == 0:
+        return SignedChain()
+    return SignedChain(
+        (facet, -1 if i % 2 else 1) for i, facet in enumerate(s.facets())
+    )
+
+
+def boundary_squared_is_zero(s: Simplex) -> SignedChain:
+    """Apply the boundary twice, extending linearly over the first result.
+
+    Always returns the zero chain; exposed as an operation so the identity
+    is directly checkable rather than taken on faith.
+    """
+    total = SignedChain()
+    for facet, coeff in boundary_signed(s).terms():
+        total = total + coeff * boundary_signed(facet)
+    return total
 
 
 def brute_force_vr(points, eps, max_dim, rule="paper-2eps"):
@@ -192,3 +278,24 @@ def brute_wasserstein(left, right, p):
 
 def euler_characteristic_from_counts(counts_by_dim):
     return sum((-1) ** k * n for k, n in counts_by_dim.items())
+
+
+def left_to_right_pairing(columns):
+    """Textbook GF(2) reduction of a boundary matrix given as facet-index
+    columns: each column in turn absorbs the earlier reduced column that
+    shares its lowest row until the column empties or its low is new.
+    Returns (sorted (low, column) pairs, unpaired indices ascending)."""
+    low_owner = {}
+    reduced = {}
+    pairs = []
+    for j, column in enumerate(columns):
+        col = set(column)
+        while col and max(col) in low_owner:
+            col ^= reduced[low_owner[max(col)]]
+        if col:
+            low_owner[max(col)] = j
+            reduced[j] = col
+            pairs.append((max(col), j))
+    paired = {i for pair in pairs for i in pair}
+    unpaired = tuple(i for i in range(len(columns)) if i not in paired)
+    return tuple(sorted(pairs)), unpaired

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing PASS/FAIL lines.
+"""Acceptance suite: one test per criterion, each printing PASS/FAIL lines,
+plus checks on the reduction's work and the memory budget's estimate.
 
 Reference values (vertex/simplex counts, Betti profiles, tabulated scales)
 are regression fixtures for the two bundled experiment families: unit
@@ -16,6 +17,7 @@ tabulated scales provably exceed the clouds' true connectivity thresholds
 import math
 import os
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ import pytest
 import phom
 from phom import DIAMETER_EPS, PAPER_2EPS
 from oracles import (
+    boundary_squared_is_zero,
     brute_force_vr,
     brute_wasserstein,
     component_count,
@@ -77,6 +80,13 @@ def msd_clouds():
         for k2 in (10000.0, 5000.0)
         for mode in (1, 2, 3)
     }
+
+
+@pytest.fixture(scope="module")
+def msd2_filtration(msd_clouds):
+    """The k2=1e4 mode-2 complex at its tabulated scale, in generator order."""
+    dm = phom.distance_matrix(msd_clouds[(10000.0, 2)])
+    return phom.build_vr(dm, 0.33, 4, edge_rule=DIAMETER_EPS)
 
 
 def dim0_barcode(cloud):
@@ -219,7 +229,7 @@ def test_criterion_3_connectivity_thresholds(msd_clouds):
 
 # --- criterion 4: Wasserstein comparisons ---
 
-def test_criterion_4_wasserstein_trends(msd_clouds):
+def test_criterion_4_wasserstein_trends(msd_clouds, msd2_filtration):
     bcs = {key: dim0_barcode(cloud)[1] for key, cloud in msd_clouds.items()}
     for p in (1.0, 2.0):
         d = [
@@ -242,8 +252,7 @@ def test_criterion_4_wasserstein_trends(msd_clouds):
     b_lat = phom.intervals(
         phom.build_vr(phom.distance_matrix(lat), LATLON_EPS, 3, edge_rule=DIAMETER_EPS)
     )
-    dm2 = phom.distance_matrix(msd_clouds[(10000.0, 2)])
-    b_msd = phom.intervals(phom.build_vr(dm2, 0.33, 4, edge_rule=DIAMETER_EPS))
+    b_msd = phom.intervals(msd2_filtration)
     for p in (1.0, 2.0):
         d_ss = phom.wasserstein_p(b_fib, b_lat, p, dims=[0, 1, 2])
         d_sm = phom.wasserstein_p(b_fib, b_msd, p, dims=[0, 1, 2])
@@ -261,6 +270,46 @@ def test_criterion_4_wasserstein_trends(msd_clouds):
         assert ok
 
 
+# --- reduction work and memory budget ---
+
+# a homology reduction with the twist schedule needs 1.48M column
+# additions on the k2=1e4 mode-2 complex; the target is a fifth of that
+MSD2_MAX_COLUMN_ADDITIONS = 296_000
+
+
+def test_reduction_work_msd2(msd2_filtration):
+    pairing = phom.reduce(phom.build_boundary_matrix(msd2_filtration))
+    ok = pairing.column_additions <= MSD2_MAX_COLUMN_ADDITIONS
+    say(
+        f"[reduction] k2=1e4 mode 2: {pairing.column_additions} column additions "
+        f"(limit {MSD2_MAX_COLUMN_ADDITIONS}), {pairing.cleared_columns} cleared: "
+        + ("PASS" if ok else "FAIL")
+    )
+    assert ok
+
+
+def test_budget_estimate_covers_peak_memory(msd_clouds):
+    # the betti path on this complex has the highest peak per simplex of
+    # the reference runs; the budget's per-simplex estimate must cover it
+    tracemalloc.start()
+    try:
+        dm = phom.distance_matrix(msd_clouds[(5000.0, 2)])
+        f = phom.build_vr(dm, 0.32, 4, edge_rule=DIAMETER_EPS)
+        phom.betti_numbers(f, 0.32, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_simplex = peak / len(f)
+    limit = phom.vr.ESTIMATED_BYTES_PER_SIMPLEX
+    say(
+        f"[budget] k2=5000 mode 2: peak {per_simplex:.0f} B per simplex over "
+        f"{len(f)} simplices (estimate {limit} B): "
+        + ("PASS" if per_simplex <= limit else "FAIL")
+    )
+    assert len(f) >= 50_000
+    assert per_simplex <= limit
+
+
 # --- criterion 5: property suites ---
 
 def test_criterion_5a_boundary_squared_exhaustive():
@@ -273,7 +322,7 @@ def test_criterion_5a_boundary_squared_exhaustive():
             verts = np.sort(rng.choice(60, size=dim + 1, replace=False))
             vertex_sets.append(tuple(int(v) for v in verts))
         for verts in vertex_sets:
-            assert phom.boundary_squared_is_zero(phom.Simplex(verts)).is_zero
+            assert boundary_squared_is_zero(phom.Simplex(verts)).is_zero
             checked += 1
     say(
         f"[criterion 5] boundary-squared zero on {checked} simplices to dim 5 "

@@ -9,14 +9,17 @@ from phom import (
     PointCloud,
     Simplex,
     betti_numbers,
-    boundary_signed,
-    boundary_squared_is_zero,
     build_boundary_matrix,
     build_vr,
     distance_matrix,
 )
-from phom.homology import SignedChain
-from oracles import component_count, dense_betti
+from oracles import (
+    SignedChain,
+    boundary_signed,
+    boundary_squared_is_zero,
+    component_count,
+    dense_betti,
+)
 
 
 def test_boundary_of_vertex_is_zero():

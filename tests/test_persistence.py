@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phom import (
+    DIAMETER_EPS,
     Barcode,
     InputError,
     PersistenceInterval,
@@ -13,11 +14,13 @@ from phom import (
     build_boundary_matrix,
     build_vr,
     distance_matrix,
+    gen_fibonacci_sphere,
     intervals,
     read_barcode_csv,
     reduce,
     write_barcode_csv,
 )
+from oracles import left_to_right_pairing
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -69,11 +72,23 @@ def test_reduce_conservation():
 
 
 def test_reduce_strategies_agree():
+    # the cohomology reduction against the left-to-right oracle, bit for bit
     rng = np.random.default_rng(29)
+    cases = []
     for _ in range(10):
         pts = rng.uniform(size=(int(rng.integers(4, 14)), 3))
-        bm = build_boundary_matrix(make_filtration(pts, 1.0, 3))
-        assert reduce(bm, "twist") == reduce(bm, "left-to-right")
+        cases.append(make_filtration(pts, 1.0, 3))
+    fib = gen_fibonacci_sphere(500)
+    cases.append(build_vr(distance_matrix(fib), 0.25, 3, edge_rule=DIAMETER_EPS))
+    assert len(cases[-1]) == 4202
+    # the 3-skeleton of a 4-simplex is a 3-sphere, so one tetrahedron
+    # stays unpaired at the top dimension
+    cases.append(make_filtration(np.eye(5), 1.0, 3))
+    for f in cases:
+        bm = build_boundary_matrix(f)
+        pairing = reduce(bm)
+        assert (pairing.pairs, pairing.unpaired) == left_to_right_pairing(bm.columns)
+    assert [bm.dims[i] for i in pairing.unpaired] == [0, 3]
 
 
 def test_intervals_two_points():

@@ -212,14 +212,6 @@ def test_cli_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_threads_validation(monkeypatch, capsys):
-    assert run_cli("--threads", "0", "betti", "x.csv", "--eps", "1") == 1
-    capsys.readouterr()
-    monkeypatch.setenv("PHOM_THREADS", "not-a-number")
-    assert run_cli("betti", "x.csv", "--eps", "1") == 1
-    assert "PHOM_THREADS" in capsys.readouterr().err
-
-
 def test_cli_entry_point_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "phom.cli", "--help"],
