@@ -1,15 +1,22 @@
 """Boundary matrices over GF(2) and Betti numbers.
 
-Rank computations run over GF(2), where a column is just the set of its
-facet indices and column addition is symmetric difference.
+Over GF(2) a boundary column is just the set of its facets' filtration
+indices. The matrix is stored in compressed sparse column form, column j
+being indices[indptr[j]:indptr[j + 1]], ascending: one int32 per nonzero
+and no Python object per column. It is assembled one dimension at a time
+from the filtration's packed vertex rows; ``vr.facet_rows`` finds each
+facet by its combinatorial-number-system key, and the facet's position
+among the rows of its dimension gives its filtration index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
-from .vr import Filtration
+from .vr import Filtration, facet_rows
 
 __all__ = [
     "BoundaryMatrix",
@@ -18,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
     """Sparse GF(2) boundary matrix in filtration order.
 
@@ -26,49 +33,52 @@ class BoundaryMatrix:
     ascending; all of them precede j. Vertex columns are empty.
     """
 
-    columns: tuple  # of tuple[int, ...]
-    dims: tuple  # simplex dimension per column
-    births: tuple  # birth scale per column
-    filtration: Filtration
+    indptr: np.ndarray  # int64, n_columns + 1 offsets into indices
+    indices: np.ndarray  # int32 facet indices, column after column
+    dims: np.ndarray  # int8 simplex dimension per column
+    births: np.ndarray  # float64 birth scale per column
 
     @property
     def n_columns(self) -> int:
-        return len(self.columns)
+        return len(self.dims)
 
-    def column(self, j: int) -> tuple:
-        return self.columns[j]
+    @property
+    def columns(self) -> tuple:
+        """Every column as a tuple of ints: a Python object per column, for
+        inspection and tests; the engine reads indptr and indices."""
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def build_boundary_matrix(f: Filtration) -> BoundaryMatrix:
-    """Assemble facet-index columns for every simplex of a filtration.
+def build_boundary_matrix(f: Filtration, size: int | None = None) -> BoundaryMatrix:
+    """Assemble the facet-index columns of the first ``size`` simplices of
+    a filtration (default: all of them). A prefix of a filtration is a
+    filtration, so this is the boundary matrix of the complex at that cut.
 
     A missing facet means the filtration is not face-closed, which build_vr
     can never produce; that is an internal invariant violation, not bad
     input, hence RuntimeError.
     """
-    index = {s: i for i, (s, _) in enumerate(f.simplices)}
-    columns = []
-    dims = []
-    births = []
-    for j, (s, b) in enumerate(f.simplices):
-        dims.append(s.dim)
-        births.append(b)
-        if s.dim == 0:
-            columns.append(())
-            continue
-        col = []
-        for facet in s.facets():
-            i = index.get(facet)
-            if i is None:
-                raise RuntimeError(
-                    f"filtration violates face closure: {facet!r} missing for {s!r}"
-                )
-            col.append(i)
-        col.sort()
-        columns.append(tuple(col))
-    return BoundaryMatrix(
-        columns=tuple(columns), dims=tuple(dims), births=tuple(births), filtration=f
-    )
+    dims = f.dims[:size]
+    indptr = np.zeros(len(dims) + 1, dtype=np.int64)
+    np.cumsum(np.where(dims > 0, dims + 1, 0), out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    below = np.flatnonzero(dims == 0)
+    for k in range(1, len(f.rows)):
+        here = np.flatnonzero(dims == k)
+        cofaces = f.rows[k][: len(here)]
+        facets = facet_rows(cofaces, f.rows[k - 1][: len(below)], f.n_vertices)
+        missing = np.argwhere(facets < 0)
+        if len(missing):
+            j, i = missing[0]
+            raise RuntimeError(
+                "filtration violates face closure: "
+                f"{np.delete(cofaces[j], i).tolist()} missing for {cofaces[j].tolist()}"
+            )
+        indices[indptr[here][:, None] + np.arange(k + 1)] = np.sort(below[facets], axis=1)
+        below = here
+    return BoundaryMatrix(indptr=indptr, indices=indices, dims=dims, births=f.births[:size])
 
 
 def betti_numbers(f: Filtration, eps: float, max_k: int) -> list[int]:
@@ -87,19 +97,7 @@ def betti_numbers(f: Filtration, eps: float, max_k: int) -> list[int]:
         raise InputError(f"eps {eps} exceeds the filtration's eps_max {f.eps_max}")
     from .persistence import reduce as _reduce  # deferred: persistence builds on this module
 
-    cut = f.prefix_length(eps)
-    prefix = Filtration(
-        simplices=f.simplices[:cut],
-        eps_max=eps,
-        max_dim=f.max_dim,
-        n_vertices=f.n_vertices,
-        edge_rule=f.edge_rule,
-    )
-    bm = build_boundary_matrix(prefix)
+    bm = build_boundary_matrix(f, f.prefix_length(eps))
     pairing = _reduce(bm)
-    betti = [0] * (max_k + 1)
-    for i in pairing.unpaired:
-        k = bm.dims[i]
-        if k <= max_k:
-            betti[k] += 1
-    return betti
+    dims = bm.dims[np.asarray(pairing.unpaired, dtype=np.int64)]
+    return np.bincount(dims[dims <= max_k], minlength=max_k + 1).tolist()

@@ -22,7 +22,6 @@ for bit against the left-to-right reduction of the boundary matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -118,15 +117,11 @@ def _coboundary(bm: BoundaryMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Transpose the boundary columns into CSR rows: the cofaces of simplex
     i are cofaces[indptr[i]:indptr[i + 1]], ascending."""
     n = bm.n_columns
-    lengths = np.fromiter(map(len, bm.columns), dtype=np.int32, count=n)
-    facets = np.fromiter(
-        itertools.chain.from_iterable(bm.columns), dtype=np.int32, count=int(lengths.sum())
-    )
     # a stable sort keeps each row's cofaces in ascending column order
-    order = np.argsort(facets, kind="stable")
-    cofaces = np.repeat(np.arange(n, dtype=np.int32), lengths)[order]
+    order = np.argsort(bm.indices, kind="stable")
+    cofaces = np.repeat(np.arange(n, dtype=np.int32), np.diff(bm.indptr))[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(facets, minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(bm.indices, minlength=n), out=indptr[1:])
     return indptr, cofaces
 
 
@@ -135,7 +130,7 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
     coboundary rows (see the module docstring)."""
     n = bm.n_columns
     indptr, cofaces = _coboundary(bm)
-    dims = np.asarray(bm.dims, dtype=np.int32)
+    dims = bm.dims
     first = np.full(n, -1, dtype=np.int32)
     has_cofaces = indptr[1:] > indptr[:-1]
     first[has_cofaces] = cofaces[indptr[:-1][has_cofaces]]
@@ -146,7 +141,7 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
     pairs: list[tuple[int, int]] = []
     additions = cleared = 0
     # top-dimension simplices have no cofaces, so their dimension is skipped
-    for k in range(max(bm.dims, default=0)):
+    for k in range(int(dims.max(initial=0))):
         members = np.flatnonzero(dims == k)[::-1]
         for i, pivot in zip(members.tolist(), first[members].tolist()):
             if dead[i]:
@@ -198,21 +193,21 @@ def intervals(
         raise InputError(f"min_length must be nonnegative, got {min_length}")
     bm = build_boundary_matrix(f)
     pairing = reduce(bm)
+    births = bm.births.tolist()
+    dims = bm.dims.tolist()
     out = []
     for i, j in pairing.pairs:
-        birth = bm.births[i]
-        death = bm.births[j]
+        birth = births[i]
+        death = births[j]
         length = death - birth
         if length == 0.0:
             if not keep_zero:
                 continue
         elif length <= min_length:
             continue
-        out.append(PersistenceInterval(dim=bm.dims[i], birth=birth, death=death))
+        out.append(PersistenceInterval(dim=dims[i], birth=birth, death=death))
     for i in pairing.unpaired:
-        out.append(
-            PersistenceInterval(dim=bm.dims[i], birth=bm.births[i], death=math.inf)
-        )
+        out.append(PersistenceInterval(dim=dims[i], birth=births[i], death=math.inf))
     out.sort()
     return Barcode(intervals=tuple(out), eps_max=f.eps_max, min_length=min_length)
 

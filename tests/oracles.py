@@ -3,9 +3,11 @@
 Everything here is deliberately naive (subset scans, dense elimination,
 left-to-right column reduction, closed-form roots, exhaustive matching
 enumeration) and shares no code with the package, so agreement between
-the two is meaningful. The one exception is the signed chain algebra: it
-is built on the package's Simplex on purpose, so that the check that the
-boundary of a boundary vanishes exercises Simplex.facets.
+the two is meaningful. The exceptions are the signed chain algebra and the
+dictionary boundary builder: they are built on the package's Simplex on
+purpose, so that the check that the boundary of a boundary vanishes
+exercises Simplex.facets, and the builder reads filtrations as
+(Simplex, birth) pairs.
 """
 
 import itertools
@@ -97,21 +99,44 @@ def boundary_squared_is_zero(s: Simplex) -> SignedChain:
     return total
 
 
-def brute_force_vr(points, eps, max_dim, rule="paper-2eps"):
+def boundary_columns(simplices):
+    """Facet-index columns of (Simplex, birth) pairs given in filtration
+    order, each sorted ascending, found through a dictionary from simplex
+    to index and Simplex.facets. Raises RuntimeError for a missing facet."""
+    index = {s: i for i, (s, _) in enumerate(simplices)}
+    columns = []
+    for s, _ in simplices:
+        col = []
+        for facet in s.facets():
+            i = index.get(facet)
+            if i is None:
+                raise RuntimeError(f"{facet!r} missing for {s!r}")
+            col.append(i)
+        columns.append(tuple(sorted(col)))
+    return tuple(columns)
+
+
+def brute_force_vr(points, eps, max_dim, rule="paper-2eps", entries=None):
     """All vertex subsets passing the max-pairwise-distance rule, as a
-    dict {vertex tuple: birth}. Exponential; keep clouds tiny."""
+    dict {vertex tuple: birth}. Distances come from math.dist, or from the
+    matrix ``entries`` when given, which makes births comparable bit for
+    bit. Exponential; keep clouds tiny."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     scale = 0.5 if rule == "paper-2eps" else 1.0
+    if entries is None:
+        def dist(i, j):
+            return math.dist(pts[i], pts[j])
+    else:
+        def dist(i, j):
+            return entries[i][j]
     out = {}
     for size in range(1, max_dim + 2):
         for combo in itertools.combinations(range(n), size):
             if size == 1:
                 out[combo] = 0.0
                 continue
-            worst = max(
-                math.dist(pts[i], pts[j]) for i, j in itertools.combinations(combo, 2)
-            )
+            worst = max(dist(i, j) for i, j in itertools.combinations(combo, 2))
             birth = worst * scale
             if birth <= eps:
                 out[combo] = birth

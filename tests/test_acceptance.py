@@ -310,6 +310,28 @@ def test_budget_estimate_covers_peak_memory(msd_clouds):
     assert per_simplex <= limit
 
 
+def test_build_vr_kept_memory(msd_clouds):
+    # a filtration is packed arrays: vertex rows, births and dims come to
+    # about 26 B per simplex on this complex, against 243 B when every
+    # simplex was a Python tuple
+    dm = phom.distance_matrix(msd_clouds[(5000.0, 2)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = phom.build_vr(dm, 0.32, 4, edge_rule=DIAMETER_EPS)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    per_simplex = kept / len(f)
+    say(
+        f"[budget] k2=5000 mode 2: build_vr keeps {per_simplex:.1f} B per simplex "
+        f"over {len(f)} simplices (limit 64 B): "
+        + ("PASS" if per_simplex <= 64 else "FAIL")
+    )
+    assert len(f) == 87571
+    assert per_simplex <= 64
+
+
 # --- criterion 5: property suites ---
 
 def test_criterion_5a_boundary_squared_exhaustive():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from phom import (
+    DIAMETER_EPS,
+    PAPER_2EPS,
     InputError,
     PointCloud,
     Simplex,
@@ -12,9 +14,11 @@ from phom import (
     build_boundary_matrix,
     build_vr,
     distance_matrix,
+    gen_sphere_latlon,
 )
 from oracles import (
     SignedChain,
+    boundary_columns,
     boundary_signed,
     boundary_squared_is_zero,
     component_count,
@@ -87,17 +91,42 @@ def test_boundary_matrix_panics_on_missing_face():
     from phom import Filtration
 
     broken = Filtration(
-        simplices=(
-            (Simplex([0]), 0.0),
-            (Simplex([1]), 0.0),
-            (Simplex([0, 1, 2]), 1.0),
+        rows=(
+            np.array([[0], [1]], dtype=np.int32),
+            np.empty((0, 2), dtype=np.int32),
+            np.array([[0, 1, 2]], dtype=np.int32),
         ),
+        births=np.array([0.0, 0.0, 1.0]),
+        dims=np.array([0, 0, 2], dtype=np.int8),
         eps_max=1.0,
         max_dim=2,
         n_vertices=3,
     )
     with pytest.raises(RuntimeError):
         build_boundary_matrix(broken)
+
+
+def test_boundary_matrix_matches_dict_oracle():
+    # the packed builder finds facets by key; the oracle by a dictionary
+    # over Simplex.facets. Columns must agree for whole filtrations and
+    # for prefixes, on random clouds and on a grid with duplicate points
+    rng = np.random.default_rng(41)
+    cases = []
+    for rule in (PAPER_2EPS, DIAMETER_EPS):
+        for _ in range(6):
+            pts = rng.uniform(size=(int(rng.integers(5, 25)), 3))
+            cases.append((PointCloud(pts), float(rng.uniform(0.3, 0.9)), 3, rule))
+    grid = gen_sphere_latlon(8, 5, include_u_endpoint=True, dedupe=False)
+    cases.append((grid, 0.9, 3, DIAMETER_EPS))
+    for cloud, eps, max_dim, rule in cases:
+        f = build_vr(distance_matrix(cloud), eps, max_dim, edge_rule=rule)
+        simplices = f.simplices
+        bm = build_boundary_matrix(f)
+        assert bm.columns == boundary_columns(simplices)
+        assert bm.births.tolist() == [b for _, b in simplices]
+        assert bm.dims.tolist() == [s.dim for s, _ in simplices]
+        cut = f.prefix_length(eps / 2)
+        assert build_boundary_matrix(f, cut).columns == boundary_columns(simplices[:cut])
 
 
 def test_boundary_matrix_entries_precede_column():
