@@ -48,10 +48,8 @@ from .vr import (
     EDGE_RULES,
     PAPER_2EPS,
     Filtration,
-    Simplex,
     build_vr,
     fully_connected_eps,
-    simplex_birth,
 )
 from .wasserstein import MatchingProblem, diagonal_cost, interval_cost, wasserstein_p
 
@@ -75,7 +73,6 @@ __all__ = [
     "PhomError",
     "PointCloud",
     "ResourceError",
-    "Simplex",
     "betti_curve",
     "betti_numbers",
     "build_boundary_matrix",
@@ -97,7 +94,6 @@ __all__ = [
     "render_barcode_svg",
     "render_diagram_svg",
     "rescale_unit_box",
-    "simplex_birth",
     "stiffness_matrix",
     "wasserstein_p",
     "write_barcode_csv",

@@ -41,10 +41,6 @@ def _fmt_betti(counts) -> str:
     return "[" + ",".join(str(c) for c in counts) + "]"
 
 
-def _load_points(path) -> geometry.PointCloud:
-    return geometry.read_point_csv(path)
-
-
 def _is_barcode_file(path) -> bool:
     with open(path, "r") as fh:
         return fh.readline().strip() == "dim,birth,death"
@@ -143,9 +139,16 @@ def _make_parser() -> _Parser:
         default=None,
         help="highest homology dimension (default: what the input supports)",
     )
+    # the complex flags apply to point input only; a barcode input that
+    # gives any of them is refused, so their defaults are None here
     bet.add_argument("--max-dim", type=int, default=None, help="for point input")
-    bet.add_argument("--edge-rule", choices=vr.EDGE_RULES, default=vr.PAPER_2EPS)
-    bet.add_argument("--max-simplices", type=int, default=None)
+    bet.add_argument(
+        "--edge-rule",
+        choices=vr.EDGE_RULES,
+        default=None,
+        help=f"for point input (default {vr.PAPER_2EPS})",
+    )
+    bet.add_argument("--max-simplices", type=int, default=None, help="for point input")
 
     per = sub.add_parser("persist", help="compute a persistence barcode")
     per.add_argument("input", help="point-cloud CSV")
@@ -211,7 +214,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_vr(args) -> int:
-    filtration = _build(args, _load_points(args.input))
+    filtration = _build(args, geometry.read_point_csv(args.input))
     counts = filtration.counts_by_dim()
     for dim in sorted(counts):
         print(f"dim {dim}: {counts[dim]}")
@@ -221,10 +224,18 @@ def _cmd_vr(args) -> int:
 
 def _cmd_betti(args) -> int:
     if _is_barcode_file(args.input):
+        given = [
+            "--" + name.replace("_", "-")
+            for name in ("max_dim", "edge_rule", "max_simplices")
+            if getattr(args, name) is not None
+        ]
+        if given:
+            raise InputError(f"{', '.join(given)} apply only to point input, not a barcode")
         barcode = persistence.read_barcode_csv(args.input)
         counts = persistence.betti_curve(barcode, args.eps, max_k=args.max_k)
     else:
-        cloud = _load_points(args.input)
+        cloud = geometry.read_point_csv(args.input)
+        args.edge_rule = args.edge_rule or vr.PAPER_2EPS
         max_k = args.max_k
         if max_k is None:
             max_k = (args.max_dim - 1) if args.max_dim is not None else 1
@@ -238,18 +249,13 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_persist(args) -> int:
-    filtration = _build(args, _load_points(args.input))
+    filtration = _build(args, geometry.read_point_csv(args.input))
     barcode = persistence.intervals(
         filtration, min_length=args.min_length, keep_zero=args.keep_zero
     )
+    persistence.write_barcode_csv(barcode, args.out or sys.stdout)
     if args.out:
-        persistence.write_barcode_csv(barcode, args.out)
         print(f"wrote {len(barcode)} intervals to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write("dim,birth,death\n")
-        for iv in barcode:
-            death = "inf" if iv.is_infinite else format(iv.death, ".9g")
-            sys.stdout.write(f"{iv.dim},{format(iv.birth, '.9g')},{death}\n")
     return 0
 
 

@@ -175,9 +175,6 @@ class MsdConfig:
         ]
         return min(f)
 
-    def grid_size(self) -> int:
-        return self.t_divs * self.alpha_divs * self.d_divs
-
     def with_mode(self, mode_index: int) -> "MsdConfig":
         return replace(self, mode_index=mode_index)
 

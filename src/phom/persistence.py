@@ -23,6 +23,7 @@ for bit against the left-to-right reduction of the boundary matrix.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,18 +75,18 @@ class PersistenceInterval:
 
 @dataclass(frozen=True)
 class Barcode:
-    """Multiset of persistence intervals plus the scale range and length
-    threshold they were produced under."""
+    """Multiset of persistence intervals plus the scale range they were
+    produced under. A sequence of its intervals: len, indexing and
+    iteration read ``intervals``."""
 
     intervals: tuple
     eps_max: float
-    min_length: float = 0.0
 
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def __iter__(self):
-        return iter(self.intervals)
+    def __getitem__(self, i):
+        return self.intervals[i]
 
     @property
     def max_dim(self) -> int:
@@ -209,7 +210,7 @@ def intervals(
     for i in pairing.unpaired:
         out.append(PersistenceInterval(dim=dims[i], birth=births[i], death=math.inf))
     out.sort()
-    return Barcode(intervals=tuple(out), eps_max=f.eps_max, min_length=min_length)
+    return Barcode(intervals=tuple(out), eps_max=f.eps_max)
 
 
 def betti_curve(b: Barcode, eps: float, max_k: int | None = None) -> list[int]:
@@ -230,10 +231,12 @@ def _fmt(x: float) -> str:
     return "inf" if math.isinf(x) else format(x, ".9g")
 
 
-def write_barcode_csv(b: Barcode, path) -> None:
+def write_barcode_csv(b: Barcode, out) -> None:
     """CSV with header dim,birth,death; infinite deaths serialize as
-    ``inf``; 9 significant digits."""
-    with open(path, "w", newline="") as fh:
+    ``inf``; 9 significant digits. ``out`` is a path, or an open text
+    stream that is written to and left open."""
+    opened = nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="")
+    with opened as fh:
         fh.write("dim,birth,death\n")
         for iv in b.intervals:
             fh.write(f"{iv.dim},{_fmt(iv.birth)},{_fmt(iv.death)}\n")
@@ -263,4 +266,4 @@ def read_barcode_csv(path) -> Barcode:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
             ivs.append(PersistenceInterval(dim=dim, birth=birth, death=death))
             top = max(top, birth, death if not math.isinf(death) else 0.0)
-    return Barcode(intervals=tuple(ivs), eps_max=top, min_length=0.0)
+    return Barcode(intervals=tuple(ivs), eps_max=top)

@@ -16,8 +16,9 @@ arithmetic instead of a dictionary: the k-simplex v_0 < ... < v_k has the
 combinatorial-number-system key C(v_0, 1) + C(v_1, 2) + ... +
 C(v_k, k + 1), a bijection onto [0, C(n, k + 1)) (Bauer, Ripser: efficient
 computation of Vietoris-Rips persistence barcodes, 2021, section 5), and
-``facet_rows`` finds facets by binary search over sorted keys. Simplex
-objects are built only on request, for inspection and tests.
+``facet_rows`` finds facets by binary search over sorted keys. There is
+no other representation: nothing in the package builds a Python object
+per simplex.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ from .errors import InputError, ResourceError
 from .geometry import DistanceMatrix
 
 __all__ = [
-    "Simplex",
     "Filtration",
     "EDGE_RULES",
     "PAPER_2EPS",
     "DIAMETER_EPS",
-    "simplex_birth",
     "build_vr",
     "facet_rows",
     "fully_connected_eps",
@@ -72,50 +71,6 @@ def _birth_scale(rule: str) -> float:
     raise InputError(f"unknown edge rule {rule!r}; choose one of {EDGE_RULES}")
 
 
-class Simplex(tuple):
-    """Vertex-index tuple, strictly increasing; dimension is len - 1.
-
-    The ascending order is the canonical representative of the simplex's
-    orientation class, so equality of Simplex values is equality of
-    oriented simplices up to even permutation.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, vertices):
-        verts = tuple(vertices)
-        if not verts:
-            raise InputError("a simplex needs at least one vertex")
-        prev = -1
-        for v in verts:
-            if not isinstance(v, (int, np.integer)) or v <= prev:
-                raise InputError(
-                    f"vertices must be strictly increasing nonnegative ints, got {verts}"
-                )
-            prev = v
-        return tuple.__new__(cls, (int(v) for v in verts))
-
-    @classmethod
-    def _wrap(cls, verts: tuple) -> "Simplex":
-        """Internal fast path for already-validated ascending tuples."""
-        return tuple.__new__(cls, verts)
-
-    @property
-    def dim(self) -> int:
-        return len(self) - 1
-
-    def facets(self) -> list["Simplex"]:
-        """Codimension-1 faces, in vertex-omission order."""
-        if len(self) == 1:
-            return []
-        return [
-            Simplex._wrap(self[:i] + self[i + 1 :]) for i in range(len(self))
-        ]
-
-    def __repr__(self) -> str:
-        return f"Simplex({list(self)})"
-
-
 @dataclass(frozen=True, eq=False)
 class Filtration:
     """Simplices with birth scales, sorted by (birth, dim, vertex order).
@@ -133,7 +88,6 @@ class Filtration:
     eps_max: float
     max_dim: int
     n_vertices: int
-    edge_rule: str = PAPER_2EPS
 
     def __post_init__(self):
         for a in (*self.rows, self.births, self.dims):
@@ -142,58 +96,12 @@ class Filtration:
     def __len__(self) -> int:
         return len(self.births)
 
-    def __iter__(self):
-        """(Simplex, birth) pairs in filtration order, built on demand."""
-        per_dim = [map(Simplex._wrap, map(tuple, r.tolist())) for r in self.rows]
-        return zip(
-            (next(per_dim[k]) for k in self.dims.tolist()), self.births.tolist()
-        )
-
-    @property
-    def simplices(self) -> tuple:
-        """Every (Simplex, birth) pair: a Python object per simplex, for
-        inspection and tests; the engine reads the arrays."""
-        return tuple(self)
-
-    def _positions(self, k: int) -> np.ndarray:
-        """Filtration index of each row of ``rows[k]``."""
-        return np.flatnonzero(self.dims == k)
-
-    def index_of(self, simplex: Simplex) -> int:
-        k = len(simplex) - 1
-        if 0 <= k < len(self.rows):
-            hits = np.flatnonzero((self.rows[k] == np.asarray(simplex)).all(axis=1))
-            if len(hits):
-                return int(self._positions(k)[hits[0]])
-        raise InputError(f"{simplex!r} is not in the filtration")
-
-    def simplex_at(self, i: int) -> Simplex:
-        i = range(len(self))[i]
-        k = int(self.dims[i])
-        row = np.count_nonzero(self.dims[:i] == k)
-        return Simplex._wrap(tuple(self.rows[k][row].tolist()))
-
-    def birth_at(self, i: int) -> float:
-        return float(self.births[i])
-
     def prefix_length(self, eps: float) -> int:
         """Number of simplices with birth <= eps."""
         return int(np.searchsorted(self.births, eps, side="right"))
 
     def counts_by_dim(self) -> dict[int, int]:
         return {k: len(r) for k, r in enumerate(self.rows) if len(r)}
-
-    def check_face_closure(self) -> None:
-        """Raise unless every facet is present with birth <= its coface's."""
-        for k in range(1, len(self.rows)):
-            facets = facet_rows(self.rows[k], self.rows[k - 1], self.n_vertices)
-            face_births = self.births[self._positions(k - 1)][facets]
-            late = face_births > self.births[self._positions(k)][:, None]
-            bad = np.flatnonzero(((facets < 0) | late).any(axis=1))
-            if len(bad):
-                raise InputError(
-                    f"a face of {self.rows[k][bad[0]].tolist()} is missing or born after it"
-                )
 
 
 def _binomials(n: int, k: int) -> np.ndarray:
@@ -236,23 +144,6 @@ def facet_rows(cofaces: np.ndarray, faces: np.ndarray, n: int) -> np.ndarray:
         found = sorted_keys[pos] == keys
         out[found, i] = sorter[pos[found]]
     return out
-
-
-def simplex_birth(s: Simplex, dm: DistanceMatrix, edge_rule: str = PAPER_2EPS) -> float:
-    """Smallest scale at which the simplex is present: the largest
-    pairwise distance among its vertices, mapped through the edge rule.
-    Vertices are born at 0."""
-    scale = _birth_scale(edge_rule)
-    n = dm.n
-    if s[-1] >= n:
-        raise InputError(f"vertex {s[-1]} out of range for {n} points")
-    worst = 0.0
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            d = float(dm.entries[s[i], s[j]])
-            if d > worst:
-                worst = d
-    return worst * scale
 
 
 def build_vr(
@@ -344,7 +235,6 @@ def build_vr(
         eps_max=float(eps_max),
         max_dim=max_dim,
         n_vertices=n,
-        edge_rule=edge_rule,
     )
 
 

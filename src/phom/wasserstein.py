@@ -117,10 +117,6 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
     """
     if p < 1.0:
         raise InputError(f"p must be >= 1, got {p}")
-    if not isinstance(b1, Barcode):
-        b1 = Barcode(tuple(b1), 0.0)
-    if not isinstance(b2, Barcode):
-        b2 = Barcode(tuple(b2), 0.0)
     # canonical argument order makes d(a, b) and d(b, a) run the exact
     # same float computation, so symmetry holds to the last bit
     if sorted(b1.intervals) > sorted(b2.intervals):

@@ -2,12 +2,10 @@
 
 Everything here is deliberately naive (subset scans, dense elimination,
 left-to-right column reduction, closed-form roots, exhaustive matching
-enumeration) and shares no code with the package, so agreement between
-the two is meaningful. The exceptions are the signed chain algebra and the
-dictionary boundary builder: they are built on the package's Simplex on
-purpose, so that the check that the boundary of a boundary vanishes
-exercises Simplex.facets, and the builder reads filtrations as
-(Simplex, birth) pairs.
+enumeration, dictionaries and sets of vertex tuples) and imports nothing
+from the package, so agreement between the two is meaningful. A simplex
+is an ascending tuple of vertex indices. Filtrations are read only
+through their public arrays (``simplices``).
 """
 
 import itertools
@@ -15,7 +13,33 @@ import math
 
 import numpy as np
 
-from phom import Simplex
+
+def facets(s):
+    """Codimension-1 faces of an ascending vertex tuple, in
+    vertex-omission order: facet i omits vertex i. A vertex has none."""
+    if len(s) == 1:
+        return []
+    return [s[:i] + s[i + 1 :] for i in range(len(s))]
+
+
+def simplices(f):
+    """(vertex tuple, birth) pairs of a filtration in filtration order, read
+    from its packed arrays: the simplices of dimension k, in order, are the
+    rows of ``f.rows[k]``, and ``f.dims`` says which dimension comes next."""
+    per_dim = [iter(map(tuple, r.tolist())) for r in f.rows]
+    return [(next(per_dim[k]), b) for k, b in zip(f.dims.tolist(), f.births.tolist())]
+
+
+def check_face_closure(pairs):
+    """Raise AssertionError unless every facet of every simplex in the
+    (vertex tuple, birth) pairs is present with birth <= its coface's."""
+    births = dict(pairs)
+    for s, b in pairs:
+        for facet in facets(s):
+            if facet not in births:
+                raise AssertionError(f"{facet} missing for {s}")
+            if births[facet] > b:
+                raise AssertionError(f"{facet} born after {s}")
 
 
 class SignedChain:
@@ -25,10 +49,9 @@ class SignedChain:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        acc: dict[Simplex, int] = {}
+        acc: dict[tuple, int] = {}
         for simplex, coeff in terms:
-            if not isinstance(simplex, Simplex):
-                simplex = Simplex(simplex)
+            simplex = tuple(int(v) for v in simplex)
             c = acc.get(simplex, 0) + int(coeff)
             if c:
                 acc[simplex] = c
@@ -36,12 +59,12 @@ class SignedChain:
                 del acc[simplex]
         self._terms = acc
 
-    def terms(self) -> list[tuple[Simplex, int]]:
+    def terms(self) -> list[tuple[tuple, int]]:
         """Terms sorted by (dimension, vertices)."""
-        return sorted(self._terms.items(), key=lambda t: (t[0].dim, t[0]))
+        return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0]))
 
-    def coefficient(self, simplex: Simplex) -> int:
-        return self._terms.get(simplex, 0)
+    def coefficient(self, simplex) -> int:
+        return self._terms.get(tuple(simplex), 0)
 
     @property
     def is_zero(self) -> bool:
@@ -77,17 +100,15 @@ class SignedChain:
         return f"SignedChain({text.lstrip('+ ')})"
 
 
-def boundary_signed(s: Simplex) -> SignedChain:
-    """Alternating-sign sum of facets: omitting vertex i carries (-1)^i.
-    A vertex has empty boundary."""
-    if s.dim == 0:
-        return SignedChain()
+def boundary_signed(s) -> SignedChain:
+    """Alternating-sign sum of facets of an ascending vertex tuple:
+    omitting vertex i carries (-1)^i. A vertex has empty boundary."""
     return SignedChain(
-        (facet, -1 if i % 2 else 1) for i, facet in enumerate(s.facets())
+        (facet, -1 if i % 2 else 1) for i, facet in enumerate(facets(tuple(s)))
     )
 
 
-def boundary_squared_is_zero(s: Simplex) -> SignedChain:
+def boundary_squared_is_zero(s) -> SignedChain:
     """Apply the boundary twice, extending linearly over the first result.
 
     Always returns the zero chain; exposed as an operation so the identity
@@ -99,18 +120,18 @@ def boundary_squared_is_zero(s: Simplex) -> SignedChain:
     return total
 
 
-def boundary_columns(simplices):
-    """Facet-index columns of (Simplex, birth) pairs given in filtration
-    order, each sorted ascending, found through a dictionary from simplex
-    to index and Simplex.facets. Raises RuntimeError for a missing facet."""
-    index = {s: i for i, (s, _) in enumerate(simplices)}
+def boundary_columns(pairs):
+    """Facet-index columns of (vertex tuple, birth) pairs given in
+    filtration order, each sorted ascending, found through a dictionary
+    from simplex to index. Raises RuntimeError for a missing facet."""
+    index = {s: i for i, (s, _) in enumerate(pairs)}
     columns = []
-    for s, _ in simplices:
+    for s, _ in pairs:
         col = []
-        for facet in s.facets():
+        for facet in facets(s):
             i = index.get(facet)
             if i is None:
-                raise RuntimeError(f"{facet!r} missing for {s!r}")
+                raise RuntimeError(f"{facet} missing for {s}")
             col.append(i)
         columns.append(tuple(sorted(col)))
     return tuple(columns)

@@ -32,6 +32,9 @@ from oracles import (
     component_count,
     cubic_eigenvalues,
     dense_betti,
+    euler_characteristic_from_counts,
+    facets,
+    simplices,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore:grid reaches negative")
@@ -214,7 +217,7 @@ def test_criterion_3_connectivity_thresholds(msd_clouds):
         ]
         threshold = max(deaths)
         births_between = sorted(
-            {b for _, b in f.simplices if threshold < b <= tab}
+            {b for b in f.births.tolist() if threshold < b <= tab}
         )
         ok = threshold <= tab and len(births_between) <= 1
         say(
@@ -344,11 +347,25 @@ def test_criterion_5a_boundary_squared_exhaustive():
             verts = np.sort(rng.choice(60, size=dim + 1, replace=False))
             vertex_sets.append(tuple(int(v) for v in verts))
         for verts in vertex_sets:
-            assert boundary_squared_is_zero(phom.Simplex(verts)).is_zero
+            assert boundary_squared_is_zero(verts).is_zero
             checked += 1
+    # the package's own boundary operator on the full simplex on 6 points:
+    # every column is the oracle's facet set, and d o d = 0 over GF(2)
+    dm = phom.distance_matrix(phom.PointCloud(rng.uniform(size=(6, 3))))
+    f = phom.build_vr(dm, phom.fully_connected_eps(dm), 5)
+    assert len(f) == 2**6 - 1
+    pairs = simplices(f)
+    bm = phom.build_boundary_matrix(f)
+    for (s, _), column in zip(pairs, bm.columns):
+        assert sorted(pairs[i][0] for i in column) == sorted(facets(s))
+    d = np.zeros((bm.n_columns, bm.n_columns), dtype=np.int64)
+    for j, column in enumerate(bm.columns):
+        d[list(column), j] = 1
+    assert d.any() and not ((d @ d) % 2).any()
     say(
-        f"[criterion 5] boundary-squared zero on {checked} simplices to dim 5 "
-        f"({time.perf_counter() - t0:.1f}s): PASS"
+        f"[criterion 5] boundary-squared zero on {checked} signed simplices to "
+        f"dim 5, and on the package's {bm.n_columns}-column boundary matrix of "
+        f"the 5-simplex ({time.perf_counter() - t0:.1f}s): PASS"
     )
 
 
@@ -376,7 +393,8 @@ def test_criterion_5b_euler_characteristic():
             eps = float(tri.min())
             f = phom.build_vr(dm, eps, n - 1, max_simplices=200_000)
         cut = f.prefix_length(eps)
-        chi_counts = sum((-1) ** s.dim for s, _ in f.simplices[:cut])
+        counts = np.bincount(f.dims[:cut]).tolist()
+        chi_counts = euler_characteristic_from_counts(dict(enumerate(counts)))
         betti = phom.betti_numbers(f, eps, n - 2)
         chi_betti = sum((-1) ** k * b for k, b in enumerate(betti))
         assert chi_counts == chi_betti
@@ -394,10 +412,9 @@ def test_criterion_5c_betti0_union_find():
         pts = rng.normal(size=(n, 2)) * rng.uniform(0.5, 2.0)
         dm = phom.distance_matrix(phom.PointCloud(pts))
         f = phom.build_vr(dm, phom.fully_connected_eps(dm), 1)
-        for eps in sorted({b for _, b in f.simplices}):
-            edges = [
-                (s[0], s[1]) for s, b in f.simplices if s.dim == 1 and b <= eps
-            ]
+        pairs = simplices(f)
+        for eps in sorted(set(f.births.tolist())):
+            edges = [s for s, b in pairs if len(s) == 2 and b <= eps]
             assert phom.betti_numbers(f, eps, 0) == [component_count(n, edges)]
     say(
         f"[criterion 5] beta_0 equals union-find at every scale "
@@ -414,10 +431,11 @@ def test_criterion_5d_reduction_vs_dense_oracle():
         dm = phom.distance_matrix(phom.PointCloud(pts))
         f = phom.build_vr(dm, phom.fully_connected_eps(dm), min(4, n - 1))
         max_k = min(3, f.max_dim - 1)
-        for eps in sorted({b for _, b in f.simplices}):
+        pairs = simplices(f)
+        for eps in sorted(set(f.births.tolist())):
             got = phom.betti_numbers(f, eps, max_k)
             cut = f.prefix_length(eps)
-            present = [tuple(s) for s, _ in f.simplices[:cut]]
+            present = [s for s, _ in pairs[:cut]]
             assert got == dense_betti(present, max_k)
     say(
         f"[criterion 5] reduction Betti equals dense GF(2) oracle "
@@ -437,7 +455,7 @@ def test_criterion_5e_vr_vs_subset_scan():
             f = phom.build_vr(
                 phom.distance_matrix(phom.PointCloud(pts)), eps, max_dim, edge_rule=rule
             )
-            got = {tuple(s) for s, _ in f.simplices}
+            got = {s for s, _ in simplices(f)}
             assert got == set(brute_force_vr(pts, eps, max_dim, rule))
     say(
         f"[criterion 5] build_vr equals brute-force subset scan "
@@ -454,7 +472,7 @@ def test_criterion_5f_betti_curve_cross_check():
         dm = phom.distance_matrix(phom.PointCloud(pts))
         f = phom.build_vr(dm, phom.fully_connected_eps(dm), 3)
         barcode = phom.intervals(f)
-        for eps in sorted({b for _, b in f.simplices}):
+        for eps in sorted(set(f.births.tolist())):
             assert phom.betti_curve(barcode, eps, max_k=2) == phom.betti_numbers(
                 f, eps, 2
             )
@@ -572,11 +590,11 @@ def test_criterion_6_known_shape_bars():
     assert math.isclose(bar.birth, math.sin(math.pi / 20.0), rel_tol=1e-12)
     assert math.isclose(bar.death, math.sin(7.0 * math.pi / 20.0), rel_tol=1e-12)
     # cross-check the interval against a dense-oracle sweep over all scales
-    births = sorted({b for _, b in f.simplices})
+    pairs = simplices(f)
     alive = []
-    for eps in births:
+    for eps in sorted(set(f.births.tolist())):
         cut = f.prefix_length(eps)
-        present = [tuple(s) for s, _ in f.simplices[:cut]]
+        present = [s for s, _ in pairs[:cut]]
         alive.append((eps, dense_betti(present, 1)[1]))
     oracle_birth = min(e for e, b1 in alive if b1 == 1)
     oracle_dead = min((e for e, b1 in alive if e > oracle_birth and b1 == 0), default=None)

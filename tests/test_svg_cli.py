@@ -144,6 +144,20 @@ def test_cli_betti_from_points(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "[4,0]"
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-dim", "2"), ("--edge-rule", "paper-2eps"), ("--max-simplices", "1000")],
+)
+def test_cli_betti_barcode_refuses_complex_flag(tmp_path, capsys, flag, value):
+    # the complex flags act on point input only; a barcode input must not
+    # accept one and silently ignore it
+    bc = tmp_path / "bc.csv"
+    bc.write_text("dim,birth,death\n0,0,inf\n")
+    assert run_cli("betti", str(bc), "--eps", "0.5", flag, value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
 def test_cli_persist_to_stdout(tmp_path, capsys):
     pts = tmp_path / "sq.csv"
     pts.write_text("".join(f"{x},{y}\n" for x, y in SQUARE))
@@ -151,6 +165,13 @@ def test_cli_persist_to_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("dim,birth,death\n")
     assert "0,0,inf" in out
+    # stdout and --out are one writer: the same bytes
+    bc = tmp_path / "bc.csv"
+    args = ("persist", str(pts), "--eps", "0.6", "--max-dim", "3", "--keep-zero")
+    assert run_cli(*args) == 0
+    streamed = capsys.readouterr().out.encode()
+    assert run_cli(*args, "--out", str(bc)) == 0
+    assert streamed == bc.read_bytes() and streamed.count(b"\n") > 5
 
 
 def test_cli_compare_identical(tmp_path, capsys):

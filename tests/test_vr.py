@@ -10,48 +10,15 @@ from phom import (
     InputError,
     PointCloud,
     ResourceError,
-    Simplex,
     build_vr,
     distance_matrix,
     fully_connected_eps,
     gen_sphere_latlon,
-    simplex_birth,
 )
 import phom.vr
-from oracles import brute_force_vr
+from oracles import brute_force_vr, check_face_closure, simplices
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-
-def test_simplex_validation():
-    s = Simplex([0, 3, 7])
-    assert s.dim == 2 and tuple(s) == (0, 3, 7)
-    with pytest.raises(InputError):
-        Simplex([3, 0])
-    with pytest.raises(InputError):
-        Simplex([0, 0])
-    with pytest.raises(InputError):
-        Simplex([])
-
-
-def test_simplex_facets_order():
-    s = Simplex([1, 4, 6])
-    assert [tuple(f) for f in s.facets()] == [(4, 6), (1, 6), (1, 4)]
-    assert Simplex([2]).facets() == []
-
-
-def test_simplex_birth_rules():
-    dm = distance_matrix(SQUARE)
-    assert simplex_birth(Simplex([3]), dm) == 0.0
-    assert simplex_birth(Simplex([0, 1]), dm) == 0.5
-    assert simplex_birth(Simplex([0, 1]), dm, DIAMETER_EPS) == 1.0
-    # equilateral side 1: all pairs tie
-    tri = distance_matrix(
-        PointCloud([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    )
-    assert math.isclose(simplex_birth(Simplex([0, 1, 2]), tri), 0.5, rel_tol=1e-15)
-    with pytest.raises(InputError):
-        simplex_birth(Simplex([0, 9]), dm)
 
 
 def test_build_vr_square_counts():
@@ -64,12 +31,12 @@ def test_build_vr_sorted_and_face_closed():
     rng = np.random.default_rng(8)
     dm = distance_matrix(PointCloud(rng.normal(size=(20, 3))))
     f = build_vr(dm, 0.9, 3)
-    births = [b for _, b in f.simplices]
-    keys = [(b, s.dim, tuple(s)) for s, b in f.simplices]
+    pairs = simplices(f)
+    keys = [(b, len(s), s) for s, b in pairs]
     assert keys == sorted(keys)
-    assert all(b == 0.0 for s, b in f.simplices if s.dim == 0)
-    f.check_face_closure()
-    assert births[: f.n_vertices] == [0.0] * f.n_vertices
+    assert all(b == 0.0 for s, b in pairs if len(s) == 1)
+    check_face_closure(pairs)
+    assert [b for _, b in pairs[: f.n_vertices]] == [0.0] * f.n_vertices
 
 
 def test_build_vr_matches_brute_force():
@@ -80,7 +47,7 @@ def test_build_vr_matches_brute_force():
             eps = float(rng.uniform(0.2, 0.8))
             max_dim = int(rng.integers(1, 4))
             f = build_vr(distance_matrix(PointCloud(pts)), eps, max_dim, edge_rule=rule)
-            got = {tuple(s): b for s, b in f.simplices}
+            got = dict(simplices(f))
             want = brute_force_vr(pts, eps, max_dim, rule)
             assert got.keys() == want.keys()
             # births agree up to the summation-order ulp between math.dist
@@ -108,7 +75,7 @@ def test_build_vr_order_and_births_bit_for_bit():
             want = brute_force_vr(cloud.coords, eps, max_dim, rule, entries=dm.entries)
             order = sorted(want.items(), key=lambda t: (t[1], len(t[0]), t[0]))
             f = build_vr(dm, eps, max_dim, edge_rule=rule)
-            assert [(tuple(s), b) for s, b in f] == order
+            assert simplices(f) == order
 
 
 def test_build_vr_budget_is_exact(monkeypatch):
@@ -122,7 +89,7 @@ def test_build_vr_budget_is_exact(monkeypatch):
     for cells in (phom.vr._MASK_CELLS, 3 * dm.n):
         monkeypatch.setattr(phom.vr, "_MASK_CELLS", cells)
         f = build_vr(dm, 1.2, 4, max_simplices=total)
-        assert f.simplices == whole.simplices
+        assert simplices(f) == simplices(whole)
         with pytest.raises(ResourceError):
             build_vr(dm, 1.2, 4, max_simplices=total - 1)
 
@@ -146,7 +113,7 @@ def test_build_vr_monotone_in_eps():
     dm = distance_matrix(PointCloud(pts))
     eps_grid = sorted(rng.uniform(0.1, 2.0, size=4))
     sets = [
-        {tuple(s) for s, _ in build_vr(dm, e, 2).simplices} for e in eps_grid
+        {s for s, _ in simplices(build_vr(dm, e, 2))} for e in eps_grid
     ]
     for small, large in zip(sets, sets[1:]):
         assert small <= large
@@ -158,7 +125,7 @@ def test_build_vr_deterministic():
     dm = distance_matrix(PointCloud(pts))
     a = build_vr(dm, 0.8, 3)
     b = build_vr(dm, 0.8, 3)
-    assert a.simplices == b.simplices
+    assert simplices(a) == simplices(b)
 
 
 def test_build_vr_budget():
@@ -196,14 +163,14 @@ def test_filtration_prefix_and_lookup():
     f = build_vr(dm, 1.0, 2)
     assert f.prefix_length(0.0) == 4
     assert f.prefix_length(0.5) == 8
-    assert f.index_of(Simplex([0, 1])) >= 4
-    with pytest.raises(InputError):
-        f.index_of(Simplex([0, 2, 3, 9]))
+    assert (0, 1) in [s for s, _ in simplices(f)[4:8]]
     counts = f.counts_by_dim()
     assert counts[0] == 4 and counts[1] == 6 and counts[2] == 4
 
 
 def test_check_face_closure_rejects_missing_and_late_faces():
+    # the oracle behind the face-closure checks above must itself refuse a
+    # missing face and a face born after its coface
     def packed(edges, edge_births):
         return Filtration(
             rows=(
@@ -218,8 +185,8 @@ def test_check_face_closure_rejects_missing_and_late_faces():
             n_vertices=3,
         )
 
-    packed([[0, 1], [0, 2], [1, 2]], [0.5, 0.6, 0.7]).check_face_closure()
-    with pytest.raises(InputError):
-        packed([[0, 1], [0, 2]], [0.5, 0.6]).check_face_closure()
-    with pytest.raises(InputError):
-        packed([[0, 1], [0, 2], [1, 2]], [0.5, 0.6, 1.5]).check_face_closure()
+    check_face_closure(simplices(packed([[0, 1], [0, 2], [1, 2]], [0.5, 0.6, 0.7])))
+    with pytest.raises(AssertionError, match="missing"):
+        check_face_closure(simplices(packed([[0, 1], [0, 2]], [0.5, 0.6])))
+    with pytest.raises(AssertionError, match="born after"):
+        check_face_closure(simplices(packed([[0, 1], [0, 2], [1, 2]], [0.5, 0.6, 1.5])))
