@@ -51,7 +51,7 @@ from .vr import (
     build_vr,
     fully_connected_eps,
 )
-from .wasserstein import MatchingProblem, diagonal_cost, interval_cost, wasserstein_p
+from .wasserstein import MatchingProblem, wasserstein_p
 
 __version__ = "0.1.0"
 
@@ -77,14 +77,12 @@ __all__ = [
     "betti_numbers",
     "build_boundary_matrix",
     "build_vr",
-    "diagonal_cost",
     "distance_matrix",
     "euclidean_distance",
     "fully_connected_eps",
     "gen_fibonacci_sphere",
     "gen_msd_manifold",
     "gen_sphere_latlon",
-    "interval_cost",
     "intervals",
     "natural_frequencies",
     "read_barcode_csv",

@@ -49,7 +49,8 @@ class PersistenceInterval:
     """Homological feature of dimension ``dim`` alive on [birth, death).
 
     death is math.inf for features that outlive the filtration. A feature
-    must exist before it can die: birth <= death always.
+    is born at a finite scale and must exist before it can die:
+    birth <= death always.
     """
 
     dim: int
@@ -59,6 +60,8 @@ class PersistenceInterval:
     def __post_init__(self):
         if self.dim < 0:
             raise InputError(f"dimension must be nonnegative, got {self.dim}")
+        if not math.isfinite(self.birth):
+            raise InputError(f"birth must be finite, got {self.birth}")
         if not self.birth <= self.death:
             raise InputError(
                 f"interval must satisfy birth <= death, got [{self.birth}, {self.death}]"
@@ -73,30 +76,44 @@ class PersistenceInterval:
         return math.isinf(self.death)
 
 
-@dataclass(frozen=True)
 class Barcode:
     """Multiset of persistence intervals plus the scale range they were
-    produced under. A sequence of its intervals: len, indexing and
-    iteration read ``intervals``."""
+    produced under, packed as arrays in (dim, birth, death) order: int64
+    ``dims``, float64 ``births`` and ``deaths`` (inf for bars that outlive
+    the filtration). A sequence of PersistenceInterval values: len,
+    indexing and iteration; a slice or boolean mask selects a Barcode."""
 
-    intervals: tuple
-    eps_max: float
+    __slots__ = ("dims", "births", "deaths", "eps_max")
+
+    def __init__(self, intervals, eps_max: float):
+        bars = np.array([(iv.dim, iv.birth, iv.death) for iv in intervals]).reshape(-1, 3)
+        self._pack(bars[:, 0], bars[:, 1], bars[:, 2], eps_max)
+
+    @classmethod
+    def _from_arrays(cls, dims, births, deaths, eps_max: float) -> Barcode:
+        """Barcode of unvalidated bars given as arrays in any order."""
+        b = cls.__new__(cls)
+        b._pack(dims, births, deaths, eps_max)
+        return b
+
+    def _pack(self, dims, births, deaths, eps_max) -> None:
+        order = np.lexsort((deaths, births, dims))
+        self.dims = dims[order].astype(np.int64)
+        self.births, self.deaths, self.eps_max = births[order], deaths[order], eps_max
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.dims)
 
     def __getitem__(self, i):
-        return self.intervals[i]
+        if isinstance(i, (int, np.integer)):
+            return PersistenceInterval(
+                int(self.dims[i]), float(self.births[i]), float(self.deaths[i])
+            )
+        return Barcode._from_arrays(self.dims[i], self.births[i], self.deaths[i], self.eps_max)
 
     @property
     def max_dim(self) -> int:
-        return max((iv.dim for iv in self.intervals), default=0)
-
-    def by_dim(self) -> dict[int, list[PersistenceInterval]]:
-        out: dict[int, list[PersistenceInterval]] = {}
-        for iv in self.intervals:
-            out.setdefault(iv.dim, []).append(iv)
-        return out
+        return int(self.dims[-1]) if len(self.dims) else 0
 
 
 @dataclass(frozen=True)
@@ -194,23 +211,13 @@ def intervals(
         raise InputError(f"min_length must be nonnegative, got {min_length}")
     bm = build_boundary_matrix(f)
     pairing = reduce(bm)
-    births = bm.births.tolist()
-    dims = bm.dims.tolist()
-    out = []
-    for i, j in pairing.pairs:
-        birth = births[i]
-        death = births[j]
-        length = death - birth
-        if length == 0.0:
-            if not keep_zero:
-                continue
-        elif length <= min_length:
-            continue
-        out.append(PersistenceInterval(dim=dims[i], birth=birth, death=death))
-    for i in pairing.unpaired:
-        out.append(PersistenceInterval(dim=dims[i], birth=births[i], death=math.inf))
-    out.sort()
-    return Barcode(intervals=tuple(out), eps_max=f.eps_max)
+    pairs = np.asarray(pairing.pairs, dtype=np.int64).reshape(-1, 2)
+    first = np.concatenate([pairs[:, 0], np.asarray(pairing.unpaired, dtype=np.int64)])
+    birth = bm.births[first]
+    death = np.concatenate([bm.births[pairs[:, 1]], np.full(len(first) - len(pairs), math.inf)])
+    length = death - birth
+    kept = (length > min_length) | (keep_zero & (length == 0.0)) | np.isinf(death)
+    return Barcode._from_arrays(bm.dims[first[kept]], birth[kept], death[kept], f.eps_max)
 
 
 def betti_curve(b: Barcode, eps: float, max_k: int | None = None) -> list[int]:
@@ -220,11 +227,10 @@ def betti_curve(b: Barcode, eps: float, max_k: int | None = None) -> list[int]:
         raise InputError(f"eps must be nonnegative, got {eps}")
     if max_k is None:
         max_k = b.max_dim
-    counts = [0] * (max_k + 1)
-    for iv in b.intervals:
-        if iv.dim <= max_k and iv.birth <= eps < iv.death:
-            counts[iv.dim] += 1
-    return counts
+    if max_k < 0:
+        raise InputError(f"max_k must be nonnegative, got {max_k}")
+    alive = (b.births <= eps) & (eps < b.deaths) & (b.dims <= max_k)
+    return np.bincount(b.dims[alive], minlength=max_k + 1).tolist()
 
 
 def _fmt(x: float) -> str:
@@ -238,14 +244,14 @@ def write_barcode_csv(b: Barcode, out) -> None:
     opened = nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="")
     with opened as fh:
         fh.write("dim,birth,death\n")
-        for iv in b.intervals:
-            fh.write(f"{iv.dim},{_fmt(iv.birth)},{_fmt(iv.death)}\n")
+        for dim, birth, death in zip(b.dims.tolist(), b.births.tolist(), b.deaths.tolist()):
+            fh.write(f"{dim},{_fmt(birth)},{_fmt(death)}\n")
 
 
 def read_barcode_csv(path) -> Barcode:
     """Inverse of write_barcode_csv. The scale range is not stored in the
     file, so eps_max is recovered as the largest finite value present."""
-    ivs = []
+    dims, births, deaths = [], [], []
     top = 0.0
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
@@ -262,8 +268,12 @@ def read_barcode_csv(path) -> Barcode:
                 dim = int(parts[0])
                 birth = float(parts[1])
                 death = math.inf if parts[2] == "inf" else float(parts[2])
+                # validates; InputError is a ValueError, so it names the line too
+                PersistenceInterval(dim=dim, birth=birth, death=death)
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
-            ivs.append(PersistenceInterval(dim=dim, birth=birth, death=death))
+            dims.append(dim)
+            births.append(birth)
+            deaths.append(death)
             top = max(top, birth, death if not math.isinf(death) else 0.0)
-    return Barcode(intervals=tuple(ivs), eps_max=top)
+    return Barcode._from_arrays(np.array(dims), np.array(births), np.array(deaths), top)

@@ -8,6 +8,9 @@ views.
 from __future__ import annotations
 
 import math
+from collections import Counter
+
+import numpy as np
 
 from .errors import InputError
 from .persistence import Barcode
@@ -31,10 +34,9 @@ def _ticks(limit: float, n: int = 5) -> list[float]:
 def _span(b: Barcode) -> float:
     """Horizontal data extent: the scale range of the generating
     filtration, or the data's own reach when that range is degenerate."""
-    top = b.eps_max
-    for iv in b.intervals:
-        top = max(top, iv.birth, 0.0 if iv.is_infinite else iv.death)
-    return top if top > 0.0 else 1.0
+    finite = b.deaths[np.isfinite(b.deaths)]
+    top = max(b.eps_max, b.births.max(initial=-math.inf), finite.max(initial=-math.inf))
+    return float(top) if top > 0.0 else 1.0
 
 
 def _legend(dims, x: float, y: float) -> list[str]:
@@ -51,16 +53,15 @@ def _legend(dims, x: float, y: float) -> list[str]:
 
 
 def render_barcode_svg(b: Barcode, path) -> None:
-    """Horizontal bars against the scale axis, sorted by (dim, birth),
+    """Horizontal bars against the scale axis in (dim, birth, death) order,
     one color per dimension, infinite bars arrow off the right edge."""
     if len(b) == 0:
         raise InputError("cannot render an empty barcode")
-    ivs = sorted(b.intervals, key=lambda iv: (iv.dim, iv.birth, iv.death))
     span = _span(b)
     ml, mr, mt, mb = 60.0, 30.0, 40.0, 45.0
     row = 14.0
     width = 740.0
-    height = mt + mb + row * len(ivs)
+    height = mt + mb + row * len(b)
     inner = width - ml - mr
 
     def sx(value: float) -> float:
@@ -72,7 +73,7 @@ def render_barcode_svg(b: Barcode, path) -> None:
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
-    out += _legend({iv.dim for iv in ivs}, ml, 20.0)
+    out += _legend(np.unique(b.dims).tolist(), ml, 20.0)
     axis_y = height - mb
     out.append(
         f'<line x1="{ml:.1f}" y1="{axis_y:.1f}" x2="{width - mr:.1f}" y2="{axis_y:.1f}" '
@@ -92,25 +93,20 @@ def render_barcode_svg(b: Barcode, path) -> None:
         f'<text x="{(ml + width - mr) / 2:.1f}" y="{height - 8:.1f}" font-size="12" '
         'text-anchor="middle">scale eps</text>'
     )
-    for idx, iv in enumerate(ivs):
+    bars = zip(b.dims.tolist(), b.births.tolist(), b.deaths.tolist())
+    for idx, (dim, birth, death) in enumerate(bars):
         y = mt + row * (idx + 0.5)
-        x0 = sx(iv.birth)
-        if iv.is_infinite:
-            x1 = sx(span)
-            out.append(
-                f'<line x1="{x0:.2f}" y1="{y:.2f}" x2="{x1:.2f}" y2="{y:.2f}" '
-                f'stroke="{_color(iv.dim)}" stroke-width="6" class="bar"/>'
-            )
+        x0 = sx(birth)
+        x1 = sx(span) if math.isinf(death) else max(sx(death), x0 + 1.0)
+        out.append(
+            f'<line x1="{x0:.2f}" y1="{y:.2f}" x2="{x1:.2f}" y2="{y:.2f}" '
+            f'stroke="{_color(dim)}" stroke-width="6" class="bar"/>'
+        )
+        if math.isinf(death):
             # arrowhead marks a bar that outlives the computed range
             out.append(
                 f'<polygon points="{x1:.2f},{y - 6:.2f} {x1 + 10:.2f},{y:.2f} '
-                f'{x1:.2f},{y + 6:.2f}" fill="{_color(iv.dim)}"/>'
-            )
-        else:
-            x1 = max(sx(iv.death), x0 + 1.0)
-            out.append(
-                f'<line x1="{x0:.2f}" y1="{y:.2f}" x2="{x1:.2f}" y2="{y:.2f}" '
-                f'stroke="{_color(iv.dim)}" stroke-width="6" class="bar"/>'
+                f'{x1:.2f},{y + 6:.2f}" fill="{_color(dim)}"/>'
             )
     out.append("</svg>")
     _write(path, out)
@@ -141,7 +137,7 @@ def render_diagram_svg(b: Barcode, path) -> None:
         f'viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
-    out += _legend({iv.dim for iv in b.intervals}, ml, 20.0)
+    out += _legend(np.unique(b.dims).tolist(), ml, 20.0)
     # axes
     out.append(
         f'<line x1="{ml:.1f}" y1="{sy(0):.1f}" x2="{sx(span * 1.15):.1f}" y2="{sy(0):.1f}" '
@@ -181,11 +177,8 @@ def render_diagram_svg(b: Barcode, path) -> None:
     out.append(
         f'<text x="{ml + 4:.1f}" y="{sy(rail) - 4:.1f}" font-size="11" fill="gray">inf</text>'
     )
-    mult: dict[tuple, int] = {}
-    for iv in b.intervals:
-        key = (iv.dim, iv.birth, iv.death)
-        mult[key] = mult.get(key, 0) + 1
-    for (dim, birth, death), count in sorted(mult.items()):
+    bars = zip(b.dims.tolist(), b.births.tolist(), b.deaths.tolist())
+    for (dim, birth, death), count in sorted(Counter(bars).items()):
         y = rail if math.isinf(death) else death
         cx, cy = sx(birth), sy(y)
         out.append(

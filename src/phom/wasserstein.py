@@ -2,13 +2,14 @@
 
 Dimensions are matched independently: intervals of dimension k in one
 barcode can only match dimension-k intervals in the other, or drop to the
-diagonal. Unequal cardinalities are handled by the usual diagonal
-augmentation: with n intervals on the left and m on the right, the cost
-matrix is (n+m) x (n+m), where the extra rows/columns price sending an
-interval to its own diagonal projection and diagonal-to-diagonal slots
-cost nothing. Infinite bars never reach the diagonal; they match among
-themselves by birth, and a mismatch in their count in any dimension makes
-the barcodes infinitely far apart (returned as math.inf, not an error).
+diagonal, under the L-infinity distance between (birth, death) points.
+Unequal cardinalities are handled by the usual diagonal augmentation:
+with n intervals on the left and m on the right, the cost matrix is
+(n+m) x (n+m), where the extra rows/columns price sending an interval to
+its own diagonal projection and diagonal-to-diagonal slots cost nothing.
+Infinite bars never reach the diagonal; they match among themselves by
+birth, and a mismatch in their count in any dimension makes the barcodes
+infinitely far apart (returned as math.inf, not an error).
 
 The assignment subproblem is solved exactly by scipy's Hungarian-style
 linear_sum_assignment; a brute-force matcher in the test suite verifies
@@ -24,71 +25,57 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
-from .persistence import Barcode, PersistenceInterval
+from .persistence import Barcode
 
 __all__ = [
     "MatchingProblem",
-    "interval_cost",
-    "diagonal_cost",
     "wasserstein_p",
 ]
 
-
-def interval_cost(a: PersistenceInterval, b: PersistenceInterval) -> float:
-    """L-infinity distance between two intervals of the same dimension.
-
-    Finite vs finite compares endpoints; infinite vs infinite compares
-    births; a finite bar can never match an infinite one (cost inf).
-    """
-    if a.dim != b.dim:
-        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.is_infinite and b.is_infinite:
-        return abs(a.birth - b.birth)
-    if a.is_infinite or b.is_infinite:
-        return math.inf
-    return max(abs(a.birth - b.birth), abs(a.death - b.death))
-
-
-def diagonal_cost(a: PersistenceInterval) -> float:
-    """L-infinity distance from a finite interval to the diagonal, attained
-    at the midpoint ((b+d)/2, (b+d)/2): half the interval length."""
-    if a.is_infinite:
-        raise InputError("an infinite bar cannot be dropped to the diagonal")
-    return (a.death - a.birth) / 2.0
+# cells of the pair-cost matrix filled per step; the step's scratch block
+# is this size, so the fill allocates nothing n x m beyond the matrix
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
 class MatchingProblem:
     """Diagonal-augmented assignment problem for one homology dimension.
 
-    All intervals must be finite and share one dimension. Costs are raised
-    to the power p before assignment, so the solved objective is the inner
-    sum of the Wasserstein formula restricted to this dimension.
+    ``left`` and ``right`` are barcodes of finite intervals that share one
+    dimension. Costs are raised to the power p before assignment, so the
+    solved objective is the inner sum of the Wasserstein formula
+    restricted to this dimension.
     """
 
-    left: tuple
-    right: tuple
+    left: Barcode
+    right: Barcode
     p: float
     cost: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.left = tuple(self.left)
-        self.right = tuple(self.right)
-        dims = {iv.dim for iv in self.left} | {iv.dim for iv in self.right}
+        left, right, p = self.left, self.right, self.p
+        dims = np.union1d(left.dims, right.dims)
         if len(dims) > 1:
-            raise InputError(f"intervals span several dimensions: {sorted(dims)}")
-        if any(iv.is_infinite for iv in self.left + self.right):
+            raise InputError(f"intervals span several dimensions: {dims.tolist()}")
+        if np.isinf(left.deaths).any() or np.isinf(right.deaths).any():
             raise InputError("matching problems hold finite intervals only")
-        n, m = len(self.left), len(self.right)
+        n, m = len(left), len(right)
         c = np.zeros((n + m, n + m))
-        for i, a in enumerate(self.left):
-            for j, b in enumerate(self.right):
-                c[i, j] = interval_cost(a, b) ** self.p
-            # any diagonal slot accepts a at the same price, so the whole
-            # row block is constant; no infinities needed
-            c[i, m:] = diagonal_cost(a) ** self.p
-        for j, b in enumerate(self.right):
-            c[n:, j] = diagonal_cost(b) ** self.p
+        step = max(1, _BLOCK_CELLS // max(m, 1))
+        scratch = np.empty((min(step, n), m))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)  # c has n + m rows
+            block, other = c[lo:hi, :m], scratch[: hi - lo]
+            np.subtract(left.births[lo:hi, None], right.births, out=block)
+            np.abs(block, out=block)
+            np.subtract(left.deaths[lo:hi, None], right.deaths, out=other)
+            np.abs(other, out=other)
+            np.maximum(block, other, out=block)
+            np.power(block, p, out=block)
+        # any diagonal slot accepts a bar at the same price, so each
+        # diagonal row and column block is constant; no infinities needed
+        c[:n, m:] = (((left.deaths - left.births) / 2.0) ** p)[:, None]
+        c[n:, :m] = ((right.deaths - right.births) / 2.0) ** p
         self.cost = c
 
     def solve(self) -> float:
@@ -99,43 +86,53 @@ class MatchingProblem:
         return float(self.cost[rows, cols].sum())
 
 
-def _match_infinite(left, right, p: float) -> float:
-    """Optimal pairing of infinite bars: sorted births pair in order,
-    which is optimal for any p >= 1 in one dimension."""
-    lb = sorted(iv.birth for iv in left)
-    rb = sorted(iv.birth for iv in right)
-    return sum(abs(a - b) ** p for a, b in zip(lb, rb))
+def _sorts_after(a: Barcode, b: Barcode) -> bool:
+    """Whether a's bars come after b's in lexicographic order of their
+    (dim, birth, death) sequences, a proper prefix coming first."""
+    n = min(len(a), len(b))
+    x, y = (np.stack([c.dims[:n], c.births[:n], c.deaths[:n]]) for c in (a, b))
+    differ = np.flatnonzero((x != y).any(axis=0))
+    if len(differ) == 0:
+        return len(a) > len(b)
+    return tuple(x[:, differ[0]]) > tuple(y[:, differ[0]])
+
+
+def _split(b: Barcode, k: int) -> tuple[Barcode, np.ndarray]:
+    """The finite bars of dimension k, and the births of its infinite
+    bars, ascending as the bars are."""
+    in_dim = b.dims == k
+    finite = in_dim & np.isfinite(b.deaths)
+    return b[finite], b.births[in_dim & ~finite]
 
 
 def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
     """p-Wasserstein distance between two barcodes.
 
     Each homology dimension is matched independently (optionally
-    restricted to ``dims``); the p-th-power costs of all dimensions sum
-    under a single 1/p root. Returns math.inf when any dimension's
-    infinite-bar counts differ. Two empty barcodes are at distance 0.
+    restricted to the nonempty list ``dims`` of nonnegative dimensions);
+    the p-th-power costs of all dimensions sum under a single 1/p root.
+    Returns math.inf when any dimension's infinite-bar counts differ. Two
+    empty barcodes are at distance 0.
     """
-    if p < 1.0:
-        raise InputError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise InputError(f"p must satisfy 1 <= p < inf, got {p}")
+    if dims is None:
+        dims = np.union1d(b1.dims, b2.dims).tolist()
+    elif not dims or min(dims) < 0:
+        raise InputError(f"dims must be a nonempty list of nonnegative dimensions, got {dims}")
     # canonical argument order makes d(a, b) and d(b, a) run the exact
     # same float computation, so symmetry holds to the last bit
-    if sorted(b1.intervals) > sorted(b2.intervals):
+    if _sorts_after(b1, b2):
         b1, b2 = b2, b1
-    groups1 = b1.by_dim()
-    groups2 = b2.by_dim()
-    if dims is None:
-        dims = sorted(set(groups1) | set(groups2))
     total = 0.0
     for k in dims:
-        left = groups1.get(k, [])
-        right = groups2.get(k, [])
-        left_inf = [iv for iv in left if iv.is_infinite]
-        right_inf = [iv for iv in right if iv.is_infinite]
+        left, left_inf = _split(b1, k)
+        right, right_inf = _split(b2, k)
         if len(left_inf) != len(right_inf):
             return math.inf
-        total += _match_infinite(left_inf, right_inf, p)
-        left_fin = tuple(iv for iv in left if not iv.is_infinite)
-        right_fin = tuple(iv for iv in right if not iv.is_infinite)
-        if left_fin or right_fin:
-            total += MatchingProblem(left_fin, right_fin, p).solve()
+        # sorted births pair in order, which is optimal for any p >= 1 in
+        # one dimension
+        total += float(np.sum(np.abs(left_inf - right_inf) ** p))
+        if len(left) or len(right):
+            total += MatchingProblem(left, right, p).solve()
     return total ** (1.0 / p)

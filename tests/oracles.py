@@ -276,6 +276,18 @@ def cubic_eigenvalues(matrix):
     return sorted(roots)
 
 
+def cost_pair(a, b, p):
+    """p-th power of the L-infinity distance between finite intervals
+    a = (birth, death) and b."""
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1])) ** p
+
+
+def cost_diag(a, p):
+    """p-th power of a finite interval's distance to the diagonal, half
+    its length."""
+    return ((a[1] - a[0]) / 2.0) ** p
+
+
 def brute_wasserstein(left, right, p):
     """Exhaustive minimum over all partial matchings of two interval lists.
 
@@ -298,24 +310,17 @@ def brute_wasserstein(left, right, p):
         best_inf = 0.0
     fin_l = [(b, d) for b, d in left if not math.isinf(d)]
     fin_r = [(b, d) for b, d in right if not math.isinf(d)]
-
-    def cost_pair(a, b):
-        return max(abs(a[0] - b[0]), abs(a[1] - b[1])) ** p
-
-    def cost_diag(a):
-        return ((a[1] - a[0]) / 2.0) ** p
-
     best = [math.inf]
 
     def assign(i, used, acc):
         if i == len(fin_l):
-            rest = sum(cost_diag(fin_r[j]) for j in range(len(fin_r)) if j not in used)
+            rest = sum(cost_diag(fin_r[j], p) for j in range(len(fin_r)) if j not in used)
             best[0] = min(best[0], acc + rest)
             return
-        assign(i + 1, used, acc + cost_diag(fin_l[i]))  # drop to diagonal
+        assign(i + 1, used, acc + cost_diag(fin_l[i], p))  # drop to diagonal
         for j in range(len(fin_r)):
             if j not in used:
-                assign(i + 1, used | {j}, acc + cost_pair(fin_l[i], fin_r[j]))
+                assign(i + 1, used | {j}, acc + cost_pair(fin_l[i], fin_r[j], p))
 
     assign(0, frozenset(), 0.0)
     total = best_inf + best[0]

@@ -141,6 +141,8 @@ def test_betti_curve_examples():
     bc = Barcode((PersistenceInterval(0, 0.0, math.inf),), eps_max=1.0)
     assert betti_curve(bc, 0.0) == [1]
     assert betti_curve(bc, 123.0) == [1]
+    with pytest.raises(InputError):
+        betti_curve(bc, 0.5, max_k=-1)
     square = intervals(build_vr(distance_matrix(SQUARE), 1.0, 2))
     assert betti_curve(square, 0.6)[1] == 1
     assert betti_curve(square, 0.8)[1] == 0
@@ -173,6 +175,14 @@ def test_barcode_csv_rejects_bad_header(tmp_path):
     path.write_text("dim,b,d\n0,0,1\n")
     with pytest.raises(InputError):
         read_barcode_csv(path)
+
+
+def test_barcode_csv_rejects_bad_rows(tmp_path):
+    path = tmp_path / "bad.csv"
+    for row in ("0,inf,inf", "0,-inf,1", "0,nan,1", "0,2,1", "-1,0,1"):
+        path.write_text(f"dim,birth,death\n0,0,inf\n{row}\n")
+        with pytest.raises(InputError, match=f"{path}:3: "):
+            read_barcode_csv(path)
 
 
 def test_barcode_csv_formats_9_digits(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -193,6 +194,75 @@ def test_cli_compare_dims_filter(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "d_Wp = 0.0000"
     assert run_cli("compare", str(a), str(b), "--p", "1") == 0
     assert capsys.readouterr().out.strip() == "d_Wp = 2"
+
+
+def test_cli_refuses_out_of_range_values(tmp_path, capsys):
+    bc = tmp_path / "bc.csv"
+    bc.write_text("dim,birth,death\n0,0,inf\n0,0,1\n")
+    refused = [
+        ("compare", str(bc), str(bc), "--p", "inf"),
+        ("compare", str(bc), str(bc), "--p", "nan"),
+        ("compare", str(bc), str(bc), "--dims", ","),
+        ("compare", str(bc), str(bc), "--dims", "-3"),
+        ("betti", str(bc), "--eps", "0.3", "--max-k", "-1"),
+    ]
+    for argv in refused:
+        assert run_cli(*argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+    # a dimension absent from both barcodes is legal and contributes nothing
+    assert run_cli("compare", str(bc), str(bc), "--dims", "5") == 0
+    assert capsys.readouterr().out.strip() == "d_Wp = 0.0000"
+    # a bar born at infinity would put nan coordinates into a plot
+    bad = tmp_path / "bad.csv"
+    bad.write_text("dim,birth,death\n0,0,inf\n0,inf,inf\n")
+    out = tmp_path / "bad.svg"
+    assert run_cli("plot", "barcode", str(bad), "--out", str(out)) == 1
+    assert f"{bad}:3" in capsys.readouterr().err and not out.exists()
+
+
+# sha256 of outputs written before barcodes were packed arrays; every
+# byte must stay the same
+GOLDEN_SHA256 = {
+    "persist": "b37ed5e8bfc06c359e27f18bbca8f04d7f2b25af1fa73a8d56e1113a91a86eba",
+    "barcode": "30de5401e236e589d952fa4112ad7d6bd12d8d2aed9fdfca29d493fd34d90c18",
+    "diagram": "1466f4e12c538b9438e373ac5eb617801185e36d86f2cb5ef1ffa4d915126e9a",
+    "compare p=1": "abe189001be3e2d1d9f1a0c6f994b0ab7c2d875f9aae17829867acda8a8fce7d",
+    "compare p=2": "0724c37efb95a26c34d41a166106d54c1f58d83bedb05b56c30145084f3f250f",
+}
+
+
+def test_cli_golden_bytes(tmp_path, capsys):
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    pts = tmp_path / "fib.csv"
+    assert run_cli("gen", "fibsphere", "--n", "500", "--out", str(pts)) == 0
+    capsys.readouterr()
+    assert run_cli(
+        "persist", str(pts), "--eps", "0.25", "--max-dim", "3",
+        "--edge-rule", "diameter-eps",
+    ) == 0
+    persisted = capsys.readouterr().out.encode()
+    got = {"persist": sha(persisted)}
+    bc = tmp_path / "fib_bc.csv"
+    bc.write_bytes(persisted)
+    for kind in ("barcode", "diagram"):
+        out = tmp_path / f"{kind}.svg"
+        assert run_cli("plot", kind, str(bc), "--out", str(out)) == 0
+        got[kind] = sha(out.read_bytes())
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(
+        "dim,birth,death\n0,0,inf\n0,0,0.25\n0,0,0.4\n1,0.3,0.9\n1,0.5,0.55\n2,0.6,inf\n"
+    )
+    b.write_text(
+        "dim,birth,death\n0,0,inf\n0,0,0.3\n1,0.2,0.8\n1,0.45,0.7\n1,0.65,0.66\n2,0.7,inf\n"
+    )
+    capsys.readouterr()
+    for p in ("1", "2"):
+        assert run_cli("compare", str(a), str(b), "--p", p) == 0
+        got[f"compare p={p}"] = sha(capsys.readouterr().out.encode())
+    assert got == GOLDEN_SHA256
 
 
 def test_cli_plot(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ from phom import (
     InputError,
     MatchingProblem,
     PersistenceInterval,
-    diagonal_cost,
-    interval_cost,
     wasserstein_p,
 )
-from oracles import brute_wasserstein
+from oracles import brute_wasserstein, cost_diag, cost_pair
 
 
 def iv(dim, birth, death):
@@ -35,34 +34,86 @@ def random_barcode(rng, max_n=12, dims=(0, 1), allow_inf=True):
     return bc(*out) if out else Barcode((), eps_max=1.0)
 
 
-def test_interval_cost_cases():
-    assert interval_cost(iv(0, 0, 1), iv(0, 0, 1)) == 0.0
-    assert interval_cost(iv(0, 0, 1), iv(0, 0, 2)) == 1.0
-    assert interval_cost(iv(1, 0, math.inf), iv(1, 0.3, math.inf)) == pytest.approx(0.3)
-    assert math.isinf(interval_cost(iv(0, 0, 1), iv(0, 0, math.inf)))
-    with pytest.raises(InputError):
-        interval_cost(iv(0, 0, 1), iv(1, 0, 1))
+def random_finite(rng, dim, n):
+    births = rng.uniform(0, 2, n)
+    return bc(*(iv(dim, b, b + d) for b, d in zip(births.tolist(), rng.uniform(0, 2, n).tolist())))
 
 
-def test_diagonal_cost_cases():
-    assert diagonal_cost(iv(0, 0, 2)) == 1.0
-    assert diagonal_cost(iv(0, 0.7, 0.7)) == 0.0
-    got = diagonal_cost(iv(1, 0.5, math.sqrt(2) / 2))
-    assert math.isclose(got, (math.sqrt(2) / 2 - 0.5) / 2, rel_tol=1e-12)
-    with pytest.raises(InputError):
-        diagonal_cost(iv(0, 0, math.inf))
+def assert_cost_cell(got, want, p):
+    # p = 1 is exact; numpy squares with x*x where Python calls pow, so
+    # p = 2 may differ by one unit in the last place
+    if p == 1.0:
+        assert got == want
+    else:
+        assert abs(got - want) <= math.ulp(want)
+
+
+def test_matching_problem_pair_cost_cells():
+    rng = np.random.default_rng(3)
+    left = bc(iv(0, 0, 1), iv(0, 0, 1), *random_finite(rng, 0, 30))
+    right = bc(iv(0, 0, 1), iv(0, 0, 2), *random_finite(rng, 0, 25))
+    for p in (1.0, 2.0):
+        cost = MatchingProblem(left, right, p).cost
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                want = cost_pair((a.birth, a.death), (b.birth, b.death), p)
+                assert_cost_cell(cost[i, j], want, p)
+    # equal bars cost nothing, and the L-infinity distance takes the
+    # larger endpoint gap
+    cost = MatchingProblem(bc(iv(0, 0, 1)), bc(iv(0, 0, 1), iv(0, 0, 2)), 1.0).cost
+    assert cost[0, 0] == 0.0 and cost[0, 1] == 1.0
+    # infinite bars are priced by birth alone
+    assert wasserstein_p(bc(iv(1, 0, math.inf)), bc(iv(1, 0.3, math.inf)), 1.0) == 0.3
+    # a finite bar is never matched to an infinite one: matched by birth,
+    # (0, inf) with (0, 2) and (1, inf) with (1, 2) would cost 0
+    left = bc(iv(0, 0, math.inf), iv(0, 1, 2))
+    right = bc(iv(0, 1, math.inf), iv(0, 0, 2))
+    assert wasserstein_p(left, right, 1.0) == 2.0
+
+
+def test_matching_problem_diagonal_cost_cells():
+    rng = np.random.default_rng(4)
+    left = bc(iv(0, 0, 2), iv(0, 0.7, 0.7), *random_finite(rng, 0, 20))
+    right = bc(iv(0, 0.5, math.sqrt(2) / 2), *random_finite(rng, 0, 15))
+    n, m = len(left), len(right)
+    for p in (1.0, 2.0):
+        cost = MatchingProblem(left, right, p).cost
+        for i, a in enumerate(left):
+            for got in cost[i, m:]:
+                assert_cost_cell(got, cost_diag((a.birth, a.death), p), p)
+        for j, b in enumerate(right):
+            for got in cost[n:, j]:
+                assert_cost_cell(got, cost_diag((b.birth, b.death), p), p)
+    cost = MatchingProblem(bc(iv(0, 0, 2), iv(0, 0.7, 0.7)), bc(), 1.0).cost
+    # half the length, and nothing for a zero-length bar
+    assert cost[0, 0] == 1.0 and cost[1, 0] == 0.0
+
+
+def test_matching_problem_cost_fill_memory():
+    # the fill works in place one row block at a time: nothing n x m is
+    # allocated beyond the cost matrix itself
+    rng = np.random.default_rng(11)
+    left, right = random_finite(rng, 1, 1500), random_finite(rng, 1, 1462)
+    tracemalloc.start()
+    try:
+        prob = MatchingProblem(left, right, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prob.cost.shape == (2962, 2962)
+    assert peak <= prob.cost.nbytes + 2**20
 
 
 def test_matching_problem_rejects_mixed_dims():
     with pytest.raises(InputError):
-        MatchingProblem((iv(0, 0, 1),), (iv(1, 0, 1),), 2.0)
+        MatchingProblem(bc(iv(0, 0, 1)), bc(iv(1, 0, 1)), 2.0)
     with pytest.raises(InputError):
-        MatchingProblem((iv(0, 0, math.inf),), (), 2.0)
+        MatchingProblem(bc(iv(0, 0, math.inf)), bc(), 2.0)
 
 
 def test_matching_problem_cost_matrix_shape():
-    left = (iv(0, 0, 1), iv(0, 0.5, 2))
-    right = (iv(0, 0.1, 1.2),)
+    left = bc(iv(0, 0, 1), iv(0, 0.5, 2))
+    right = bc(iv(0, 0.1, 1.2))
     prob = MatchingProblem(left, right, 2.0)
     n, m = len(left), len(right)
     assert prob.cost.shape == (n + m, n + m)
@@ -100,8 +151,9 @@ def test_wasserstein_infinite_mismatch():
 
 def test_wasserstein_p_validation():
     b = bc(iv(0, 0, 1))
-    with pytest.raises(InputError):
-        wasserstein_p(b, b, 0.5)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(InputError):
+            wasserstein_p(b, b, p)
 
 
 def test_wasserstein_dims_filter():
@@ -109,6 +161,11 @@ def test_wasserstein_dims_filter():
     b2 = bc(iv(0, 0, 1))
     # dim 1 differs wildly but is excluded
     assert wasserstein_p(b1, b2, 2.0, dims=[0]) == 0.0
+    # a dimension absent from both barcodes contributes nothing
+    assert wasserstein_p(b1, b2, 2.0, dims=[0, 7]) == 0.0
+    for dims in ([], [-3], [0, -1]):
+        with pytest.raises(InputError):
+            wasserstein_p(b1, b2, 2.0, dims=dims)
 
 
 def test_wasserstein_matches_brute_force():
@@ -151,7 +208,7 @@ def test_wasserstein_perturbation_stability():
         base = random_barcode(rng, max_n=8, allow_inf=False)
         if len(base) == 0:
             continue
-        ivs = list(base.intervals)
+        ivs = list(base)
         delta = float(rng.uniform(0, 0.5))
         k = int(rng.integers(0, len(ivs)))
         moved = ivs[k]
