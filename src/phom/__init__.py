@@ -27,16 +27,13 @@ from .generators import (
     stiffness_matrix,
     write_msd_config,
 )
-from .homology import (
-    BoundaryMatrix,
-    betti_numbers,
-    build_boundary_matrix,
-)
+from .homology import BoundaryMatrix, build_boundary_matrix
 from .persistence import (
     Barcode,
     Pairing,
     PersistenceInterval,
     betti_curve,
+    betti_numbers,
     intervals,
     read_barcode_csv,
     reduce,

@@ -241,9 +241,7 @@ def _cmd_betti(args) -> int:
             max_k = (args.max_dim - 1) if args.max_dim is not None else 1
         args.max_dim = args.max_dim if args.max_dim is not None else max_k + 1
         filtration = _build(args, cloud)
-        from .homology import betti_numbers
-
-        counts = betti_numbers(filtration, args.eps, max_k)
+        counts = persistence.betti_numbers(filtration, args.eps, max_k)
     print(_fmt_betti(counts))
     return 0
 

@@ -1,4 +1,4 @@
-"""Persistence pairing by GF(2) coboundary reduction, barcodes, Betti curves.
+"""Persistence pairing by GF(2) coboundary reduction, barcodes, Betti numbers.
 
 The pairing comes from persistent cohomology. The boundary matrix is
 transposed once into coboundary rows, and the cocolumns are reduced one
@@ -15,16 +15,21 @@ a pair found one dimension down has a cocolumn that reduces to zero, so
 it is skipped. Unowned pivots, the shortcut behind Ripser's apparent
 pairs (Bauer, Ripser, 2021, sections 3-4): a cocolumn whose pivot no
 other cocolumn owns yet is already reduced, so it pairs at once with no
-column addition. Top-dimension simplices have no cofaces in the
-filtration and are never reduced. The test suite checks the pairing bit
-for bit against the left-to-right reduction of the boundary matrix.
+column addition. The test suite checks the pairing bit for bit against
+the left-to-right reduction of the boundary matrix.
+
+Top-dimension simplices have no cofaces in the filtration, so they are
+never reduced and nothing could kill a top-dimension cycle: its bar is an
+artifact of cutting the complex off, and the barcode (like Ripser's)
+stops below max_dim. Betti numbers are read off the barcode: beta_k at
+eps counts the k-bars alive at eps (Zomorodian & Carlsson, 2005).
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +44,7 @@ __all__ = [
     "reduce",
     "intervals",
     "betti_curve",
+    "betti_numbers",
     "write_barcode_csv",
     "read_barcode_csv",
 ]
@@ -116,19 +122,20 @@ class Barcode:
         return int(self.dims[-1]) if len(self.dims) else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pairing:
-    """Reduction outcome: (birth index, death index) pairs and the indices
-    left unpaired. pairs + unpaired exactly partition the column set.
+    """Reduction outcome: int64 (birth index, death index) pairs of shape
+    (n, 2), ascending by birth index, and the int64 indices left unpaired,
+    ascending. Together they exactly partition the column set.
 
     column_additions and cleared_columns count the reduction's work; they
-    depend on the schedule, not on the pairing, so equality ignores them.
+    depend on the schedule, not on the pairing.
     """
 
-    pairs: tuple
-    unpaired: tuple
-    column_additions: int = field(default=0, compare=False)
-    cleared_columns: int = field(default=0, compare=False)
+    pairs: np.ndarray
+    unpaired: np.ndarray
+    column_additions: int = 0
+    cleared_columns: int = 0
 
 
 def _coboundary(bm: BoundaryMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +163,8 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
     owner: dict[int, int] = {}  # pivot coface -> simplex whose cocolumn holds it
     reduced: dict[int, set] = {}  # cocolumns that differ from their original
     dead = bytearray(n)  # deaths found so far; clearing skips their cocolumns
-    pairs: list[tuple[int, int]] = []
+    born: list[int] = []  # pair k is (born[k], died[k])
+    died: list[int] = []
     additions = cleared = 0
     # top-dimension simplices have no cofaces, so their dimension is skipped
     for k in range(int(dims.max(initial=0))):
@@ -184,13 +192,15 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
                 reduced[i] = col
             owner[pivot] = i
             dead[pivot] = 1
-            pairs.append((i, pivot))
+            born.append(i)
+            died.append(pivot)
+    pairs = np.array([born, died], dtype=np.int64).T
+    pairs = pairs[np.argsort(pairs[:, 0])]
     paired = np.zeros(n, dtype=bool)
-    paired[np.asarray(pairs, dtype=np.int64).reshape(-1)] = True
-    pairs.sort()
+    paired[pairs] = True
     return Pairing(
-        pairs=tuple(pairs),
-        unpaired=tuple(np.flatnonzero(~paired).tolist()),
+        pairs=pairs,
+        unpaired=np.flatnonzero(~paired),
         column_additions=additions,
         cleared_columns=cleared,
     )
@@ -199,20 +209,26 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
 def intervals(
     f: Filtration, min_length: float = 0.0, keep_zero: bool = False
 ) -> Barcode:
-    """Persistence barcode of a filtration.
+    """Persistence barcode of a filtration, in dimensions below max_dim.
 
     Pair (i, j) becomes an interval of dimension dim(simplex i) over
-    [birth(i), birth(j)); unpaired indices become infinite bars. Zero
-    length intervals are artifacts of simplices entering at the same scale
-    and are dropped unless ``keep_zero``; finite intervals of length
-    <= min_length are dropped; infinite bars are always kept.
+    [birth(i), birth(j)); unpaired indices below the top dimension become
+    infinite bars. Zero length intervals are artifacts of simplices
+    entering at the same scale and are dropped unless ``keep_zero``;
+    finite intervals of length <= min_length are dropped; infinite bars
+    are always kept.
     """
     if min_length < 0.0:
         raise InputError(f"min_length must be nonnegative, got {min_length}")
+    if f.max_dim < 1:
+        raise InputError("max_dim (--max-dim) must be at least 1: bars stop below it")
     bm = build_boundary_matrix(f)
     pairing = reduce(bm)
-    pairs = np.asarray(pairing.pairs, dtype=np.int64).reshape(-1, 2)
-    first = np.concatenate([pairs[:, 0], np.asarray(pairing.unpaired, dtype=np.int64)])
+    pairs = pairing.pairs
+    # a pair is born below the top dimension, whose simplices have no
+    # cofaces; an unpaired top simplex is a cycle of the cut-off skeleton
+    unpaired = pairing.unpaired[bm.dims[pairing.unpaired] < f.max_dim]
+    first = np.concatenate([pairs[:, 0], unpaired])
     birth = bm.births[first]
     death = np.concatenate([bm.births[pairs[:, 1]], np.full(len(first) - len(pairs), math.inf)])
     length = death - birth
@@ -231,6 +247,18 @@ def betti_curve(b: Barcode, eps: float, max_k: int | None = None) -> list[int]:
         raise InputError(f"max_k must be nonnegative, got {max_k}")
     alive = (b.births <= eps) & (eps < b.deaths) & (b.dims <= max_k)
     return np.bincount(b.dims[alive], minlength=max_k + 1).tolist()
+
+
+def betti_numbers(f: Filtration, eps: float, max_k: int) -> list[int]:
+    """Betti numbers beta_0..beta_max_k of the complex at scale eps, read
+    off the barcode, which stops below the top: max_k < f.max_dim."""
+    if not 0 <= max_k < f.max_dim:
+        raise InputError(
+            f"max_k must be in [0, {f.max_dim - 1}] for this filtration, got {max_k}"
+        )
+    if eps > f.eps_max:
+        raise InputError(f"eps {eps} exceeds the filtration's eps_max {f.eps_max}")
+    return betti_curve(intervals(f), eps, max_k)
 
 
 def _fmt(x: float) -> str:

@@ -49,7 +49,7 @@ EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 
 # Budget guard: refuse to enumerate complexes whose run would not fit in
 # memory. The estimate is the tracemalloc peak of a whole persist or betti
-# run per simplex, at most 227 B on the reference complexes (k2=1e4
+# run per simplex, at most 205 B on the reference complexes (k2=1e4
 # mode 3), rounded up to a multiple of 64; the default cap is ~33.5M
 # simplices against 8 GiB.
 DEFAULT_MEMORY_BUDGET_BYTES = 8 * 1024**3
@@ -77,9 +77,8 @@ class Filtration:
 
     The sort guarantees that every face precedes its cofaces, so a prefix
     cut at any birth threshold is itself a valid filtration. ``rows[k]``
-    holds the vertex rows of the k-simplices in filtration order, so the
-    k-simplices of a prefix are the first rows of ``rows[k]``; ``births``
-    and ``dims`` run over all simplices. The arrays are read-only.
+    holds the vertex rows of the k-simplices in filtration order;
+    ``births`` and ``dims`` run over all simplices. The arrays are read-only.
     """
 
     rows: tuple  # rows[k]: int32 array of shape (n_k, k + 1), k = 0..max_dim
@@ -95,10 +94,6 @@ class Filtration:
 
     def __len__(self) -> int:
         return len(self.births)
-
-    def prefix_length(self, eps: float) -> int:
-        """Number of simplices with birth <= eps."""
-        return int(np.searchsorted(self.births, eps, side="right"))
 
     def counts_by_dim(self) -> dict[int, int]:
         return {k: len(r) for k, r in enumerate(self.rows) if len(r)}

@@ -30,6 +30,12 @@ def simplices(f):
     return [(next(per_dim[k]), b) for k, b in zip(f.dims.tolist(), f.births.tolist())]
 
 
+def prefix_length(f, eps):
+    """Number of simplices with birth <= eps: the filtration is sorted by
+    birth, so they are its first ones and form the complex at scale eps."""
+    return int(np.searchsorted(f.births, eps, side="right"))
+
+
 def check_face_closure(pairs):
     """Raise AssertionError unless every facet of every simplex in the
     (vertex tuple, birth) pairs is present with birth <= its coface's."""

@@ -34,6 +34,7 @@ from oracles import (
     dense_betti,
     euler_characteristic_from_counts,
     facets,
+    prefix_length,
     simplices,
 )
 
@@ -392,7 +393,7 @@ def test_criterion_5b_euler_characteristic():
         if f is None:
             eps = float(tri.min())
             f = phom.build_vr(dm, eps, n - 1, max_simplices=200_000)
-        cut = f.prefix_length(eps)
+        cut = prefix_length(f, eps)
         counts = np.bincount(f.dims[:cut]).tolist()
         chi_counts = euler_characteristic_from_counts(dict(enumerate(counts)))
         betti = phom.betti_numbers(f, eps, n - 2)
@@ -434,7 +435,7 @@ def test_criterion_5d_reduction_vs_dense_oracle():
         pairs = simplices(f)
         for eps in sorted(set(f.births.tolist())):
             got = phom.betti_numbers(f, eps, max_k)
-            cut = f.prefix_length(eps)
+            cut = prefix_length(f, eps)
             present = [s for s, _ in pairs[:cut]]
             assert got == dense_betti(present, max_k)
     say(
@@ -593,7 +594,7 @@ def test_criterion_6_known_shape_bars():
     pairs = simplices(f)
     alive = []
     for eps in sorted(set(f.births.tolist())):
-        cut = f.prefix_length(eps)
+        cut = prefix_length(f, eps)
         present = [s for s, _ in pairs[:cut]]
         alive.append((eps, dense_betti(present, 1)[1]))
     oracle_birth = min(e for e, b1 in alive if b1 == 1)

@@ -41,15 +41,15 @@ def test_interval_validation():
 def test_reduce_single_vertex():
     bm = build_boundary_matrix(make_filtration([[0.0]], 1.0, 0))
     pairing = reduce(bm)
-    assert pairing.pairs == () and pairing.unpaired == (0,)
+    assert pairing.pairs.tolist() == [] and pairing.unpaired.tolist() == [0]
 
 
 def test_reduce_two_vertices_one_edge():
     bm = build_boundary_matrix(make_filtration([[0.0], [1.0]], 1.0, 1))
     pairing = reduce(bm)
     # the later vertex dies when the edge arrives; the earlier survives
-    assert pairing.pairs == ((1, 2),)
-    assert pairing.unpaired == (0,)
+    assert pairing.pairs.tolist() == [[1, 2]]
+    assert pairing.unpaired.tolist() == [0]
 
 
 def test_reduce_filled_triangle():
@@ -57,7 +57,7 @@ def test_reduce_filled_triangle():
     bm = build_boundary_matrix(make_filtration(pts, 1.0, 2))
     pairing = reduce(bm)
     assert len(pairing.pairs) == 3  # (v,e) x2 and (e,t)
-    assert pairing.unpaired == (0,)
+    assert pairing.unpaired.tolist() == [0]
     dims = [(bm.dims[i], bm.dims[j]) for i, j in pairing.pairs]
     assert dims.count((0, 1)) == 2 and dims.count((1, 2)) == 1
 
@@ -87,8 +87,21 @@ def test_reduce_strategies_agree():
     for f in cases:
         bm = build_boundary_matrix(f)
         pairing = reduce(bm)
-        assert (pairing.pairs, pairing.unpaired) == left_to_right_pairing(bm.columns)
-    assert [bm.dims[i] for i in pairing.unpaired] == [0, 3]
+        pairs, unpaired = left_to_right_pairing(bm.columns)
+        assert pairing.pairs.tolist() == [list(p) for p in pairs]
+        assert pairing.unpaired.tolist() == list(unpaired)
+    assert bm.dims[pairing.unpaired].tolist() == [0, 3]
+
+
+def test_reduce_returns_packed_arrays():
+    # the 3-skeleton of the 4-simplex: 30 simplices, 14 pairs, 2 unpaired
+    pairing = reduce(build_boundary_matrix(make_filtration(np.eye(5), 1.0, 3)))
+    assert pairing.pairs.dtype == np.int64 and pairing.pairs.shape == (14, 2)
+    assert pairing.unpaired.dtype == np.int64 and pairing.unpaired.shape == (2,)
+    assert np.all(np.diff(pairing.pairs[:, 0]) > 0)
+    # an empty pairing keeps its shape
+    empty = reduce(build_boundary_matrix(make_filtration([[0.0]], 1.0, 0)))
+    assert empty.pairs.dtype == np.int64 and empty.pairs.shape == (0, 2)
 
 
 def test_intervals_two_points():
@@ -98,6 +111,23 @@ def test_intervals_two_points():
         (0, 0.0, 1.5),
         (0, 0.0, math.inf),
     ]
+
+
+def test_intervals_stop_below_max_dim():
+    # a top-dimension simplex has no cofaces that could kill its cycle: the
+    # 3-skeleton of the 4-simplex keeps one tetrahedron unpaired and the
+    # square's four triangles one triangle, yet neither is Rips homology
+    for f in (make_filtration(np.eye(5), 1.0, 3), build_vr(distance_matrix(SQUARE), 1.0, 2)):
+        assert len(f.rows[f.max_dim])
+        barcode = intervals(f, keep_zero=True)
+        assert barcode.dims.tolist() and max(barcode.dims.tolist()) < f.max_dim
+    assert betti_curve(intervals(make_filtration(np.eye(5), 1.0, 3)), 1.0, 2) == [1, 0, 0]
+
+
+def test_intervals_refuse_max_dim_0():
+    # a filtration of vertices only has no dimension below its top
+    with pytest.raises(InputError, match="max_dim"):
+        intervals(make_filtration([[0.0], [1.0]], 1.0, 0))
 
 
 def test_intervals_square_loop():

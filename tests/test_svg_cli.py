@@ -135,6 +135,34 @@ def test_cli_persist_betti_pipeline(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "[1,0,1]"
 
 
+def test_cli_betti_of_barcode_matches_points(tmp_path, capsys):
+    # persist reports dimensions below --max-dim only, so betti on its
+    # barcode defaults to the same dimensions as betti on the points
+    square = tmp_path / "sq.csv"
+    square.write_text("".join(f"{x},{y}\n" for x, y in SQUARE))
+    fib = tmp_path / "fib.csv"
+    assert run_cli("gen", "fibsphere", "--n", "500", "--out", str(fib)) == 0
+    bc = tmp_path / "bc.csv"
+    cases = ((square, "1.5", 2, "[1,0]"), (fib, "0.25", 3, "[1,0,1]"))
+    for pts, eps, max_dim, expected in cases:
+        flags = ("--eps", eps, "--edge-rule", "diameter-eps")
+        persist = ("persist", str(pts), *flags, "--max-dim", str(max_dim), "--out", str(bc))
+        assert run_cli(*persist) == 0
+        capsys.readouterr()
+        assert run_cli("betti", str(bc), "--eps", eps) == 0
+        from_barcode = capsys.readouterr().out
+        assert run_cli("betti", str(pts), *flags, "--max-k", str(max_dim - 1)) == 0
+        assert from_barcode == capsys.readouterr().out == expected + "\n"
+
+
+def test_cli_persist_refuses_max_dim_0(tmp_path, capsys):
+    pts = tmp_path / "sq.csv"
+    pts.write_text("".join(f"{x},{y}\n" for x, y in SQUARE))
+    assert run_cli("persist", str(pts), "--eps", "1", "--max-dim", "0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-dim" in captured.err
+
+
 def test_cli_betti_from_points(tmp_path, capsys):
     pts = tmp_path / "sq.csv"
     pts.write_text("".join(f"{x},{y}\n" for x, y in SQUARE))

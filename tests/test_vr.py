@@ -16,7 +16,7 @@ from phom import (
     gen_sphere_latlon,
 )
 import phom.vr
-from oracles import brute_force_vr, check_face_closure, simplices
+from oracles import brute_force_vr, check_face_closure, prefix_length, simplices
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -161,8 +161,8 @@ def test_fully_connected_eps():
 def test_filtration_prefix_and_lookup():
     dm = distance_matrix(SQUARE)
     f = build_vr(dm, 1.0, 2)
-    assert f.prefix_length(0.0) == 4
-    assert f.prefix_length(0.5) == 8
+    assert prefix_length(f, 0.0) == 4
+    assert prefix_length(f, 0.5) == 8
     assert (0, 1) in [s for s, _ in simplices(f)[4:8]]
     counts = f.counts_by_dim()
     assert counts[0] == 4 and counts[1] == 6 and counts[2] == 4
