@@ -49,11 +49,11 @@ EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 
 # Budget guard: refuse to enumerate complexes whose run would not fit in
 # memory. The estimate is the tracemalloc peak of a whole persist or betti
-# run per simplex, at most 205 B on the reference complexes (k2=1e4
-# mode 3), rounded up to a multiple of 64; the default cap is ~33.5M
+# run per simplex, at most 205.3 B on the reference complexes (k2=1e4
+# mode 3), rounded up to a multiple of 32; the default cap is ~38.3M
 # simplices against 8 GiB.
 DEFAULT_MEMORY_BUDGET_BYTES = 8 * 1024**3
-ESTIMATED_BYTES_PER_SIMPLEX = 256
+ESTIMATED_BYTES_PER_SIMPLEX = 224
 
 # build_vr forms the common-neighbour mask for a block of parents at a
 # time, this many cells (bytes) per block, so that the mask stays small

@@ -3,17 +3,17 @@
 Dimensions are matched independently: intervals of dimension k in one
 barcode can only match dimension-k intervals in the other, or drop to the
 diagonal, under the L-infinity distance between (birth, death) points.
-Unequal cardinalities are handled by the usual diagonal augmentation:
-with n intervals on the left and m on the right, the cost matrix is
-(n+m) x (n+m), where the extra rows/columns price sending an interval to
-its own diagonal projection and diagonal-to-diagonal slots cost nothing.
 Infinite bars never reach the diagonal; they match among themselves by
 birth, and a mismatch in their count in any dimension makes the barcodes
 infinitely far apart (returned as math.inf, not an error).
 
-The assignment subproblem is solved exactly by scipy's Hungarian-style
-linear_sum_assignment; a brute-force matcher in the test suite verifies
-optimality on small instances.
+With delta(a) the cost of sending bar a to the diagonal and c(a, b) that
+of matching a with b, a partial matching costs every bar's delta plus
+r(a, b) = c(a, b) - delta(a) - delta(b) over its pairs, and only pairs
+with r < 0 help. So n left and m right bars need no diagonal rows or
+columns: scipy's linear_sum_assignment on the n x m matrix of min(r, 0)
+solves the problem exactly; a brute-force matcher in the test suite
+verifies optimality on small instances.
 """
 
 from __future__ import annotations
@@ -24,66 +24,83 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .persistence import Barcode
+from .vr import DEFAULT_MEMORY_BUDGET_BYTES
 
 __all__ = [
     "MatchingProblem",
     "wasserstein_p",
 ]
 
-# cells of the pair-cost matrix filled per step; the step's scratch block
-# is this size, so the fill allocates nothing n x m beyond the matrix
+# cells of the cost matrix filled per step; the step's scratch block is
+# this size, so the fill allocates nothing n x m beyond the matrix
 _BLOCK_CELLS = 1 << 15
 
 
 @dataclass
 class MatchingProblem:
-    """Diagonal-augmented assignment problem for one homology dimension.
+    """Reduced assignment problem for one homology dimension.
 
     ``left`` and ``right`` are barcodes of finite intervals that share one
-    dimension. Costs are raised to the power p before assignment, so the
-    solved objective is the inner sum of the Wasserstein formula
-    restricted to this dimension.
+    dimension. Costs are raised to the power p, so the solved objective is
+    the inner sum of the Wasserstein formula restricted to this dimension.
+    ``cost`` holds min(r, 0) and ``diagonal`` each side's delta.
     """
 
     left: Barcode
     right: Barcode
     p: float
     cost: np.ndarray = field(init=False, repr=False)
+    diagonal: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         left, right, p = self.left, self.right, self.p
+        n, m = len(left), len(right)
+        if 8 * n * m > DEFAULT_MEMORY_BUDGET_BYTES:
+            raise ResourceError(
+                f"matching {n} against {m} bars needs a {8 * n * m}-byte cost matrix, "
+                f"over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte memory budget"
+            )
         dims = np.union1d(left.dims, right.dims)
         if len(dims) > 1:
             raise InputError(f"intervals span several dimensions: {dims.tolist()}")
         if np.isinf(left.deaths).any() or np.isinf(right.deaths).any():
             raise InputError("matching problems hold finite intervals only")
-        n, m = len(left), len(right)
-        c = np.zeros((n + m, n + m))
+        self.diagonal = tuple(((b.deaths - b.births) / 2.0) ** p for b in (left, right))
+        left_diag, right_diag = self.diagonal
+        c = np.empty((n, m))
         step = max(1, _BLOCK_CELLS // max(m, 1))
         scratch = np.empty((min(step, n), m))
         for lo in range(0, n, step):
-            hi = min(lo + step, n)  # c has n + m rows
-            block, other = c[lo:hi, :m], scratch[: hi - lo]
+            hi = min(lo + step, n)
+            block, other = c[lo:hi], scratch[: hi - lo]
             np.subtract(left.births[lo:hi, None], right.births, out=block)
             np.abs(block, out=block)
             np.subtract(left.deaths[lo:hi, None], right.deaths, out=other)
             np.abs(other, out=other)
             np.maximum(block, other, out=block)
             np.power(block, p, out=block)
-        # any diagonal slot accepts a bar at the same price, so each
-        # diagonal row and column block is constant; no infinities needed
-        c[:n, m:] = (((left.deaths - left.births) / 2.0) ** p)[:, None]
-        c[n:, :m] = ((right.deaths - right.births) / 2.0) ** p
+            block -= left_diag[lo:hi, None]
+            block -= right_diag
+            np.minimum(block, 0.0, out=block)
         self.cost = c
 
     def solve(self) -> float:
-        """Minimal total p-th-power cost over all matchings."""
-        if self.cost.size == 0:
-            return 0.0
+        """Minimal total p-th-power cost over all partial matchings."""
+        left_diag, right_diag = self.diagonal
+        if not (len(left_diag) and len(right_diag)):
+            return float(left_diag.sum() + right_diag.sum())
         rows, cols = linear_sum_assignment(self.cost)
-        return float(self.cost[rows, cols].sum())
+        matched = self.cost[rows, cols] < 0.0
+        rows, cols = rows[matched], cols[matched]
+        left, right = self.left, self.right
+        pairs = np.maximum(
+            np.abs(left.births[rows] - right.births[cols]),
+            np.abs(left.deaths[rows] - right.deaths[cols]),
+        ) ** self.p
+        unmatched = np.delete(left_diag, rows), np.delete(right_diag, cols)
+        return float(np.concatenate([pairs, *unmatched]).sum())
 
 
 def _sorts_after(a: Barcode, b: Barcode) -> bool:
@@ -133,6 +150,5 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
         # sorted births pair in order, which is optimal for any p >= 1 in
         # one dimension
         total += float(np.sum(np.abs(left_inf - right_inf) ** p))
-        if len(left) or len(right):
-            total += MatchingProblem(left, right, p).solve()
+        total += MatchingProblem(left, right, p).solve()
     return total ** (1.0 / p)

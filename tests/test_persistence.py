@@ -10,7 +10,6 @@ from phom import (
     PersistenceInterval,
     PointCloud,
     betti_curve,
-    betti_numbers,
     build_boundary_matrix,
     build_vr,
     distance_matrix,
@@ -20,7 +19,7 @@ from phom import (
     reduce,
     write_barcode_csv,
 )
-from oracles import left_to_right_pairing
+from oracles import dense_betti, left_to_right_pairing, prefix_length, simplices
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -179,14 +178,19 @@ def test_betti_curve_examples():
 
 
 def test_betti_curve_matches_betti_numbers():
+    # against the dense GF(2) ranks of each prefix complex; every fourth
+    # scale and the last, since the oracle's cost grows with the prefix
     rng = np.random.default_rng(41)
     for _ in range(8):
         n = int(rng.integers(4, 16))
         pts = rng.uniform(size=(n, 2))
         f = make_filtration(pts, 1.5, 3)
         barcode = intervals(f)
-        for eps in sorted(set(f.births.tolist())):
-            assert betti_curve(barcode, eps, max_k=2) == betti_numbers(f, eps, 2)
+        pairs = simplices(f)
+        scales = sorted(set(f.births.tolist()))
+        for eps in {*scales[::4], scales[-1]}:
+            present = [s for s, _ in pairs[: prefix_length(f, eps)]]
+            assert betti_curve(barcode, eps, max_k=2) == dense_betti(present, 2)
 
 
 def test_barcode_csv_round_trip(tmp_path):

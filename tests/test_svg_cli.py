@@ -318,6 +318,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert code == 2
     assert "budget" in capsys.readouterr().err
+    # a matching whose cost matrix would exceed the memory budget: exit 2
+    big = tmp_path / "big.csv"
+    big.write_text("dim,birth,death\n" + "".join(f"0,0,{i + 1}\n" for i in range(33_000)))
+    assert run_cli("compare", str(big), str(big)) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_cli_determinism(tmp_path):

@@ -9,6 +9,7 @@ from phom import (
     InputError,
     MatchingProblem,
     PersistenceInterval,
+    ResourceError,
     wasserstein_p,
 )
 from oracles import brute_wasserstein, cost_diag, cost_pair
@@ -48,6 +49,18 @@ def assert_cost_cell(got, want, p):
         assert abs(got - want) <= math.ulp(want)
 
 
+def assert_reduced_cell(got, a, b, p):
+    # the cell is min(c - delta(a) - delta(b), 0): under p = 2 each of the
+    # three terms may be one ulp off, and each of the two subtractions
+    # rounds by half an ulp on either side, so 5 ulps of the largest term
+    pair, da, db = cost_pair(a, b, p), cost_diag(a, p), cost_diag(b, p)
+    want = min(pair - da - db, 0.0)
+    if p == 1.0:
+        assert got == want
+    else:
+        assert abs(got - want) <= 5 * math.ulp(max(pair, da + db))
+
+
 def test_matching_problem_pair_cost_cells():
     rng = np.random.default_rng(3)
     left = bc(iv(0, 0, 1), iv(0, 0, 1), *random_finite(rng, 0, 30))
@@ -56,12 +69,11 @@ def test_matching_problem_pair_cost_cells():
         cost = MatchingProblem(left, right, p).cost
         for i, a in enumerate(left):
             for j, b in enumerate(right):
-                want = cost_pair((a.birth, a.death), (b.birth, b.death), p)
-                assert_cost_cell(cost[i, j], want, p)
-    # equal bars cost nothing, and the L-infinity distance takes the
-    # larger endpoint gap
+                assert_reduced_cell(cost[i, j], (a.birth, a.death), (b.birth, b.death), p)
+    # equal bars save both diagonal costs, and the L-infinity distance
+    # takes the larger endpoint gap: (0, 1) against (0, 2) costs 1, not 2
     cost = MatchingProblem(bc(iv(0, 0, 1)), bc(iv(0, 0, 1), iv(0, 0, 2)), 1.0).cost
-    assert cost[0, 0] == 0.0 and cost[0, 1] == 1.0
+    assert cost[0, 0] == -1.0 and cost[0, 1] == -0.5
     # infinite bars are priced by birth alone
     assert wasserstein_p(bc(iv(1, 0, math.inf)), bc(iv(1, 0.3, math.inf)), 1.0) == 0.3
     # a finite bar is never matched to an infinite one: matched by birth,
@@ -71,22 +83,28 @@ def test_matching_problem_pair_cost_cells():
     assert wasserstein_p(left, right, 1.0) == 2.0
 
 
-def test_matching_problem_diagonal_cost_cells():
+def test_matching_problem_diagonal_cost_cells(monkeypatch):
+    # with one side empty every bar goes to the diagonal, without scipy
+    def no_solver(cost):
+        raise AssertionError("one-sided problems need no assignment")
+
+    monkeypatch.setattr("phom.wasserstein.linear_sum_assignment", no_solver)
     rng = np.random.default_rng(4)
     left = bc(iv(0, 0, 2), iv(0, 0.7, 0.7), *random_finite(rng, 0, 20))
     right = bc(iv(0, 0.5, math.sqrt(2) / 2), *random_finite(rng, 0, 15))
-    n, m = len(left), len(right)
+    empty = Barcode((), eps_max=1.0)
     for p in (1.0, 2.0):
-        cost = MatchingProblem(left, right, p).cost
-        for i, a in enumerate(left):
-            for got in cost[i, m:]:
-                assert_cost_cell(got, cost_diag((a.birth, a.death), p), p)
-        for j, b in enumerate(right):
-            for got in cost[n:, j]:
-                assert_cost_cell(got, cost_diag((b.birth, b.death), p), p)
-    cost = MatchingProblem(bc(iv(0, 0, 2), iv(0, 0.7, 0.7)), bc(), 1.0).cost
+        for a in (*left, *right):
+            want = cost_diag((a.birth, a.death), p)
+            assert_cost_cell(MatchingProblem(bc(a), empty, p).solve(), want, p)
+            assert_cost_cell(MatchingProblem(empty, bc(a), p).solve(), want, p)
+        for side in (left, right):
+            want = math.fsum(cost_diag((a.birth, a.death), p) for a in side)
+            assert math.isclose(MatchingProblem(side, empty, p).solve(), want, rel_tol=1e-12)
     # half the length, and nothing for a zero-length bar
-    assert cost[0, 0] == 1.0 and cost[1, 0] == 0.0
+    assert MatchingProblem(bc(iv(0, 0, 2), iv(0, 0.7, 0.7)), empty, 1.0).solve() == 1.0
+    assert MatchingProblem(empty, bc(iv(0, 0.7, 0.7)), 1.0).solve() == 0.0
+    assert MatchingProblem(empty, empty, 2.0).solve() == 0.0
 
 
 def test_matching_problem_cost_fill_memory():
@@ -100,8 +118,23 @@ def test_matching_problem_cost_fill_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prob.cost.shape == (2962, 2962)
+    assert prob.cost.shape == (1500, 1462)
     assert peak <= prob.cost.nbytes + 2**20
+
+
+def test_matching_problem_refuses_oversized_matrix():
+    # 8 * 33,000**2 bytes is just over the 8 GiB default memory budget, so
+    # the problem is refused before anything n x m is allocated
+    rng = np.random.default_rng(12)
+    left, right = random_finite(rng, 0, 33_000), random_finite(rng, 0, 33_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="budget"):
+            MatchingProblem(left, right, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14
 
 
 def test_matching_problem_rejects_mixed_dims():
@@ -112,14 +145,13 @@ def test_matching_problem_rejects_mixed_dims():
 
 
 def test_matching_problem_cost_matrix_shape():
-    left = bc(iv(0, 0, 1), iv(0, 0.5, 2))
-    right = bc(iv(0, 0.1, 1.2))
-    prob = MatchingProblem(left, right, 2.0)
-    n, m = len(left), len(right)
-    assert prob.cost.shape == (n + m, n + m)
-    assert np.all(prob.cost >= 0.0)
-    # diagonal-to-diagonal slots are free
-    assert np.all(prob.cost[n:, m:] == 0.0)
+    rng = np.random.default_rng(13)
+    for n, m in ((2, 1), (1, 2), (7, 7), (0, 3), (3, 0)):
+        left, right = random_finite(rng, 0, n), random_finite(rng, 0, m)
+        prob = MatchingProblem(left, right, 2.0)
+        # no diagonal rows or columns, and no cell a matching would avoid
+        assert prob.cost.shape == (n, m)
+        assert np.all(prob.cost <= 0.0)
 
 
 def test_wasserstein_identity_and_symmetry():
@@ -184,6 +216,32 @@ def test_wasserstein_matches_brute_force():
                 assert math.isinf(got)
             else:
                 assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-12)
+
+
+def test_wasserstein_matches_brute_force_unequal_sizes():
+    # rectangular problems in both orientations and with an empty side,
+    # sized differently in each dimension
+    rng = np.random.default_rng(2024)
+    sizes = [(2, 5), (5, 2), (0, 4), (4, 0), (1, 6), (6, 1), (3, 4), (0, 0)]
+    for _ in range(6):
+        per_dim = [sizes[i] for i in rng.permutation(len(sizes))[:3]]
+        sides = [
+            [random_finite(rng, k, size[side]) for k, size in enumerate(per_dim)]
+            for side in (0, 1)
+        ]
+        for p in (1.0, 2.0, 3.0):
+            total = 0.0
+            for a, b in zip(*sides):
+                want = brute_wasserstein(
+                    [(x.birth, x.death) for x in a], [(x.birth, x.death) for x in b], p
+                )
+                for x, y in ((a, b), (b, a)):
+                    got = MatchingProblem(x, y, p).solve() ** (1.0 / p)
+                    assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-12)
+                total += want**p
+            b1, b2 = (bc(*(bar for dim in side for bar in dim)) for side in sides)
+            for got in (wasserstein_p(b1, b2, p), wasserstein_p(b2, b1, p)):
+                assert math.isclose(got, total ** (1.0 / p), rel_tol=1e-10, abs_tol=1e-12)
 
 
 def test_wasserstein_metric_axioms():
