@@ -69,29 +69,45 @@ class MatchingProblem:
             raise InputError("matching problems hold finite intervals only")
         self.diagonal = tuple(((b.deaths - b.births) / 2.0) ** p for b in (left, right))
         left_diag, right_diag = self.diagonal
-        c = np.empty((n, m))
-        step = max(1, _BLOCK_CELLS // max(m, 1))
-        scratch = np.empty((min(step, n), m))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
+        # scipy solves a tall matrix by copying out its transpose, so a tall
+        # problem fills the wide right x left matrix and keeps its transpose;
+        # |x - y| == |y - x| and left's delta goes first either way, so every
+        # cell holds the same float in both layouts
+        row_bars, col_bars = left, right
+        left_d = np.broadcast_to(left_diag[:, None], (n, m))
+        right_d = np.broadcast_to(right_diag, (n, m))
+        if n > m:
+            row_bars, col_bars, left_d, right_d = right, left, left_d.T, right_d.T
+        c = np.empty(left_d.shape)
+        step = max(1, _BLOCK_CELLS // max(len(col_bars), 1))
+        scratch = np.empty((min(step, len(row_bars)), len(col_bars)))
+        for lo in range(0, len(row_bars), step):
+            hi = min(lo + step, len(row_bars))
             block, other = c[lo:hi], scratch[: hi - lo]
-            np.subtract(left.births[lo:hi, None], right.births, out=block)
+            np.subtract(row_bars.births[lo:hi, None], col_bars.births, out=block)
             np.abs(block, out=block)
-            np.subtract(left.deaths[lo:hi, None], right.deaths, out=other)
+            np.subtract(row_bars.deaths[lo:hi, None], col_bars.deaths, out=other)
             np.abs(other, out=other)
             np.maximum(block, other, out=block)
             np.power(block, p, out=block)
-            block -= left_diag[lo:hi, None]
-            block -= right_diag
+            block -= left_d[lo:hi]
+            block -= right_d[lo:hi]
             np.minimum(block, 0.0, out=block)
-        self.cost = c
+        self.cost = c.T if n > m else c
 
     def solve(self) -> float:
         """Minimal total p-th-power cost over all partial matchings."""
         left_diag, right_diag = self.diagonal
         if not (len(left_diag) and len(right_diag)):
             return float(left_diag.sum() + right_diag.sum())
-        rows, cols = linear_sum_assignment(self.cost)
+        if len(left_diag) > len(right_diag):
+            # cost is the transpose of a wide matrix; solve that one and
+            # list its pairs in left-bar order, as scipy would have
+            cols, rows = linear_sum_assignment(self.cost.T)
+            order = np.argsort(rows)
+            rows, cols = rows[order], cols[order]
+        else:
+            rows, cols = linear_sum_assignment(self.cost)
         matched = self.cost[rows, cols] < 0.0
         rows, cols = rows[matched], cols[matched]
         left, right = self.left, self.right

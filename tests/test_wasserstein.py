@@ -154,6 +154,36 @@ def test_matching_problem_cost_matrix_shape():
         assert np.all(prob.cost <= 0.0)
 
 
+def test_matching_problem_hands_scipy_a_wide_matrix(monkeypatch):
+    # scipy copies a tall matrix to solve its transpose; a tall problem
+    # must hand it a wide C-contiguous view and get the same answer
+    import phom.wasserstein as w
+
+    seen = []
+
+    def lsa(cost):
+        seen.append((cost.shape, cost.flags.c_contiguous))
+        return real(cost)
+
+    real = w.linear_sum_assignment
+    monkeypatch.setattr(w, "linear_sum_assignment", lsa)
+    rng = np.random.default_rng(14)
+    left, right = random_finite(rng, 1, 40), random_finite(rng, 1, 25)
+    for p in (1.0, 2.0, 3.0):
+        tall, wide = MatchingProblem(left, right, p), MatchingProblem(right, left, p)
+        # both layouts run the same float operations on every cell
+        for prob in (tall, wide):
+            a, b = prob.left, prob.right
+            c = np.maximum(
+                np.abs(a.births[:, None] - b.births), np.abs(a.deaths[:, None] - b.deaths)
+            )
+            delta = [((x.deaths - x.births) / 2.0) ** p for x in (a, b)]
+            assert np.array_equal(prob.cost, np.minimum(c**p - delta[0][:, None] - delta[1], 0.0))
+        assert tall.cost.shape == (40, 25)
+        assert math.isclose(tall.solve(), wide.solve(), rel_tol=1e-12)
+    assert seen and all(shape == (25, 40) and contiguous for shape, contiguous in seen)
+
+
 def test_wasserstein_identity_and_symmetry():
     b1 = bc(iv(0, 0, 1), iv(1, 0.2, 0.9))
     assert wasserstein_p(b1, b1, 2.0) == 0.0
