@@ -57,12 +57,9 @@ def _build(args, cloud: geometry.PointCloud) -> vr.Filtration:
     )
 
 
-def _add_complex_flags(p, with_max_dim=True):
+def _add_complex_flags(p):
     p.add_argument("--eps", type=float, required=True, help="scale at which to work")
-    if with_max_dim:
-        p.add_argument(
-            "--max-dim", type=int, required=True, help="largest simplex dimension"
-        )
+    p.add_argument("--max-dim", type=int, required=True, help="largest simplex dimension")
     p.add_argument(
         "--edge-rule",
         choices=vr.EDGE_RULES,

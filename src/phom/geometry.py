@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 __all__ = [
+    "DEFAULT_MEMORY_BUDGET_BYTES",
     "PointCloud",
     "DistanceMatrix",
     "euclidean_distance",
@@ -19,6 +20,10 @@ __all__ = [
     "read_point_csv",
     "write_point_csv",
 ]
+
+# Resource guards refuse a run or array predicted to exceed this many bytes,
+# so an oversized input fails with ResourceError, not the kernel's OOM kill.
+DEFAULT_MEMORY_BUDGET_BYTES = 8 * 1024**3
 
 
 class PointCloud:
@@ -126,18 +131,23 @@ def distance_matrix(cloud: PointCloud, block: int = 256) -> DistanceMatrix:
     """Full matrix of pairwise Euclidean distances.
 
     Computed from coordinate differences (not the Gram-matrix identity) so
-    small distances keep full relative accuracy; the upper triangle is
-    mirrored, making the result exactly symmetric.
+    small distances keep full relative accuracy. It is exactly symmetric with
+    a zero diagonal, since x_i - x_j and x_j - x_i square to the same floats,
+    summed in the same order. Over the memory budget it raises ResourceError.
     """
     x = cloud.coords
     n = len(cloud)
-    d = np.zeros((n, n), dtype=np.float64)
+    if 8 * n * n > DEFAULT_MEMORY_BUDGET_BYTES:
+        raise ResourceError(
+            f"{n} points need a {8 * n * n}-byte distance matrix, "
+            f"over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte memory budget"
+        )
+    d = np.empty((n, n), dtype=np.float64)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         diff = x[lo:hi, None, :] - x[None, :, :]
         d[lo:hi] = np.sqrt(np.sum(diff * diff, axis=-1))
-    d = np.triu(d, 1)
-    return DistanceMatrix(d + d.T)
+    return DistanceMatrix(d)
 
 
 def rescale_unit_box(cloud: PointCloud) -> PointCloud:

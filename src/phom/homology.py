@@ -1,13 +1,12 @@
-"""Boundary matrices over GF(2).
+"""Boundary operators over GF(2), stored as coboundary rows.
 
-Over GF(2) a boundary column is just the set of its facets' filtration
-indices. The matrix is stored in compressed sparse column form, column j
-being indices[indptr[j]:indptr[j + 1]], ascending: one int32 per nonzero
-and no Python object per column. It is assembled one dimension at a time
-from the filtration's packed vertex rows; ``vr.facet_rows`` finds each
-facet by its combinatorial-number-system key, and the facet's position
-among the rows of its dimension gives its filtration index. Homology is
-computed from this matrix in ``persistence``, which builds on this module.
+Over GF(2) a simplex's coboundary is just the set of its cofaces'
+filtration indices. The operator is stored once, as the compressed sparse
+rows that the reduction in ``persistence`` reads: row i is
+cofaces[indptr[i]:indptr[i + 1]], ascending, one int32 per nonzero. It is
+assembled one dimension at a time from the filtration's packed vertex
+rows: ``vr.facet_rows`` finds each facet by its combinatorial-number-system
+key, and the facet's position among its dimension's rows gives its index.
 """
 
 from __future__ import annotations
@@ -26,16 +25,16 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Sparse GF(2) boundary matrix in filtration order.
+    """Sparse GF(2) boundary operator in filtration order, by rows.
 
-    Column j lists the filtration indices of simplex j's facets, sorted
-    ascending; all of them precede j. Vertex columns are empty.
+    Row i lists the filtration indices of simplex i's cofaces, sorted
+    ascending; all of them follow i. Top-dimension rows are empty.
     """
 
-    indptr: np.ndarray  # int64, n_columns + 1 offsets into indices
-    indices: np.ndarray  # int32 facet indices, column after column
-    dims: np.ndarray  # int8 simplex dimension per column
-    births: np.ndarray  # float64 birth scale per column
+    indptr: np.ndarray  # int64, n_columns + 1 offsets into cofaces
+    cofaces: np.ndarray  # int32 coface indices, row after row
+    dims: np.ndarray  # int8 simplex dimension per simplex
+    births: np.ndarray  # float64 birth scale per simplex
 
     @property
     def n_columns(self) -> int:
@@ -43,36 +42,51 @@ class BoundaryMatrix:
 
     @property
     def columns(self) -> tuple:
-        """Every column as a tuple of ints: a Python object per column, for
-        inspection and tests; the engine reads indptr and indices."""
-        flat = self.indices.tolist()
-        bounds = self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        """Every boundary column, the facets of one simplex ascending, as a
+        tuple of ints: a transpose built on demand for inspection and
+        tests; the engine reads indptr and cofaces."""
+        # a stable sort keeps each column's facets in ascending row order
+        order = np.argsort(self.cofaces, kind="stable")
+        flat = np.repeat(np.arange(self.n_columns), np.diff(self.indptr))[order].tolist()
+        bounds = np.cumsum(np.bincount(self.cofaces, minlength=self.n_columns)).tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds))
 
 
 def build_boundary_matrix(f: Filtration) -> BoundaryMatrix:
-    """Assemble the facet-index columns of every simplex of a filtration.
+    """Assemble the coboundary rows of every simplex of a filtration.
 
     A missing facet means the filtration is not face-closed, which build_vr
     can never produce; that is an internal invariant violation, not bad
     input, hence RuntimeError.
     """
     dims = f.dims
-    indptr = np.zeros(len(dims) + 1, dtype=np.int64)
-    np.cumsum(np.where(dims > 0, dims + 1, 0), out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    below = np.flatnonzero(dims == 0)
+    counts = np.zeros(len(dims), dtype=np.int64)
+    by_dim = []  # by_dim[k]: the cofaces of the k-simplices, simplex by simplex
     for k in range(1, len(f.rows)):
-        here = np.flatnonzero(dims == k)
-        cofaces = f.rows[k]
-        facets = facet_rows(cofaces, f.rows[k - 1], f.n_vertices)
+        here = np.flatnonzero(dims == k).astype(np.int32)
+        facets = facet_rows(f.rows[k], f.rows[k - 1], f.n_vertices)
         missing = np.argwhere(facets < 0)
         if len(missing):
             j, i = missing[0]
+            coface = f.rows[k][j]
             raise RuntimeError(
                 "filtration violates face closure: "
-                f"{np.delete(cofaces[j], i).tolist()} missing for {cofaces[j].tolist()}"
+                f"{np.delete(coface, i).tolist()} missing for {coface.tolist()}"
             )
-        indices[indptr[here][:, None] + np.arange(k + 1)] = np.sort(below[facets], axis=1)
-        below = here
-    return BoundaryMatrix(indptr=indptr, indices=indices, dims=dims, births=f.births)
+        counts[dims == k - 1] = np.bincount(facets.ravel(), minlength=len(f.rows[k - 1]))
+        # one int64 key per (facet, coface) pair, facet * len(here) + coface
+        # row: sorting the keys groups the pairs by facet, cofaces ascending
+        facets *= len(here)
+        facets += np.arange(len(here))[:, None]
+        keys = facets.ravel()
+        keys.sort()
+        keys %= len(here)
+        by_dim.append(here[keys])
+    indptr = np.zeros(len(dims) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    cofaces = np.empty(int(indptr[-1]), dtype=np.int32)
+    for k, rows in enumerate(by_dim):
+        # the k-simplices' rows, in filtration order, fill exactly the slots
+        # of the k-simplices' rows
+        cofaces[np.repeat(dims == k, counts)] = rows
+    return BoundaryMatrix(indptr=indptr, cofaces=cofaces, dims=dims, births=f.births)

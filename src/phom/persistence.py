@@ -1,13 +1,14 @@
 """Persistence pairing by GF(2) coboundary reduction, barcodes, Betti numbers.
 
-The pairing comes from persistent cohomology. The boundary matrix is
-transposed once into coboundary rows, and the cocolumns are reduced one
-dimension at a time from 0 upward, each dimension in reverse filtration
-order, with a cocolumn's oldest coface (smallest filtration index) as its
-pivot. A reduced cocolumn of simplex i with pivot j pairs (i, j): the
-feature born with simplex i dies when simplex j enters. These are exactly
-the pairs the textbook reduction of the boundary matrix finds (de Silva,
-Morozov & Vejdemo-Johansson, Dualities in persistent (co)homology, 2011).
+The pairing comes from persistent cohomology. The cocolumns are the
+coboundary rows that ``homology`` builds, each simplex's cofaces in
+ascending filtration order. They are reduced one dimension at a time from
+0 upward, each dimension in reverse filtration order, with a cocolumn's
+oldest coface (smallest filtration index) as its pivot. A reduced
+cocolumn of simplex i with pivot j pairs (i, j): the feature born with
+simplex i dies when simplex j enters. These are exactly the pairs the
+textbook reduction of the boundary matrix finds (de Silva, Morozov &
+Vejdemo-Johansson, Dualities in persistent (co)homology, 2011).
 Simplices that end up in no pair become infinite bars.
 
 Two shortcuts skip nearly all the work. Clearing: a simplex that died in
@@ -138,39 +139,25 @@ class Pairing:
     cleared_columns: int = 0
 
 
-def _coboundary(bm: BoundaryMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Transpose the boundary columns into CSR rows: the cofaces of simplex
-    i are cofaces[indptr[i]:indptr[i + 1]], ascending."""
-    n = bm.n_columns
-    # a stable sort keeps each row's cofaces in ascending column order
-    order = np.argsort(bm.indices, kind="stable")
-    cofaces = np.repeat(np.arange(n, dtype=np.int32), np.diff(bm.indptr))[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(bm.indices, minlength=n), out=indptr[1:])
-    return indptr, cofaces
-
-
 def reduce(bm: BoundaryMatrix) -> Pairing:
     """Compute the persistence pairing of a boundary matrix by reducing its
     coboundary rows (see the module docstring)."""
     n = bm.n_columns
-    indptr, cofaces = _coboundary(bm)
-    dims = bm.dims
+    indptr, cofaces, dims = bm.indptr, bm.cofaces, bm.dims
     first = np.full(n, -1, dtype=np.int32)
     has_cofaces = indptr[1:] > indptr[:-1]
     first[has_cofaces] = cofaces[indptr[:-1][has_cofaces]]
 
-    owner: dict[int, int] = {}  # pivot coface -> simplex whose cocolumn holds it
+    # the pairs so far, death -> birth: a pivot coface -> the simplex whose
+    # cocolumn holds it. Clearing skips every death: its cocolumn reduces to 0
+    owner: dict[int, int] = {}
     reduced: dict[int, set] = {}  # cocolumns that differ from their original
-    dead = bytearray(n)  # deaths found so far; clearing skips their cocolumns
-    born: list[int] = []  # pair k is (born[k], died[k])
-    died: list[int] = []
     additions = cleared = 0
     # top-dimension simplices have no cofaces, so their dimension is skipped
     for k in range(int(dims.max(initial=0))):
         members = np.flatnonzero(dims == k)[::-1]
         for i, pivot in zip(members.tolist(), first[members].tolist()):
-            if dead[i]:
+            if i in owner:
                 cleared += 1
                 continue
             if pivot < 0:
@@ -191,19 +178,11 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
                     continue
                 reduced[i] = col
             owner[pivot] = i
-            dead[pivot] = 1
-            born.append(i)
-            died.append(pivot)
-    pairs = np.array([born, died], dtype=np.int64).T
+    pairs = np.array([list(owner.values()), list(owner)], dtype=np.int64).T
     pairs = pairs[np.argsort(pairs[:, 0])]
     paired = np.zeros(n, dtype=bool)
     paired[pairs] = True
-    return Pairing(
-        pairs=pairs,
-        unpaired=np.flatnonzero(~paired),
-        column_additions=additions,
-        cleared_columns=cleared,
-    )
+    return Pairing(pairs, np.flatnonzero(~paired), additions, cleared)
 
 
 def intervals(
@@ -218,7 +197,7 @@ def intervals(
     finite intervals of length <= min_length are dropped; infinite bars
     are always kept.
     """
-    if min_length < 0.0:
+    if not min_length >= 0.0:
         raise InputError(f"min_length must be nonnegative, got {min_length}")
     if f.max_dim < 1:
         raise InputError("max_dim (--max-dim) must be at least 1: bars stop below it")
@@ -239,8 +218,8 @@ def intervals(
 def betti_curve(b: Barcode, eps: float, max_k: int | None = None) -> list[int]:
     """Counts of intervals alive at eps (birth <= eps < death), per
     dimension 0..max_k. max_k defaults to the largest dimension present."""
-    if eps < 0.0:
-        raise InputError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise InputError(f"eps must be nonnegative and finite, got {eps}")
     if max_k is None:
         max_k = b.max_dim
     if max_k < 0:
@@ -256,8 +235,8 @@ def betti_numbers(f: Filtration, eps: float, max_k: int) -> list[int]:
         raise InputError(
             f"max_k must be in [0, {f.max_dim - 1}] for this filtration, got {max_k}"
         )
-    if eps > f.eps_max:
-        raise InputError(f"eps {eps} exceeds the filtration's eps_max {f.eps_max}")
+    if not 0.0 <= eps <= f.eps_max:
+        raise InputError(f"eps must be in [0, {f.eps_max}] for this filtration, got {eps}")
     return betti_curve(intervals(f), eps, max_k)
 
 

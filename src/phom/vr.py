@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .geometry import DistanceMatrix
+from .geometry import DEFAULT_MEMORY_BUDGET_BYTES, DistanceMatrix
 
 __all__ = [
     "Filtration",
@@ -39,7 +39,6 @@ __all__ = [
     "build_vr",
     "facet_rows",
     "fully_connected_eps",
-    "DEFAULT_MEMORY_BUDGET_BYTES",
     "ESTIMATED_BYTES_PER_SIMPLEX",
 ]
 
@@ -49,11 +48,10 @@ EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 
 # Budget guard: refuse to enumerate complexes whose run would not fit in
 # memory. The estimate is the tracemalloc peak of a whole persist or betti
-# run per simplex, at most 205.3 B on the reference complexes (k2=1e4
-# mode 3), rounded up to a multiple of 32; the default cap is ~38.3M
+# run per simplex, at most 172.8 B on the reference complexes (k2=1e4
+# mode 3), rounded up to a multiple of 32; the default cap is ~44.7M
 # simplices against 8 GiB.
-DEFAULT_MEMORY_BUDGET_BYTES = 8 * 1024**3
-ESTIMATED_BYTES_PER_SIMPLEX = 224
+ESTIMATED_BYTES_PER_SIMPLEX = 192
 
 # build_vr forms the common-neighbour mask for a block of parents at a
 # time, this many cells (bytes) per block, so that the mask stays small
@@ -162,8 +160,8 @@ def build_vr(
     ``max_simplices`` (default: an 8 GiB memory budget). Either failing
     raises ResourceError.
     """
-    if eps_max <= 0.0:
-        raise InputError(f"eps_max must be positive, got {eps_max}")
+    if not 0.0 < eps_max < math.inf:
+        raise InputError(f"eps_max must be positive and finite, got {eps_max}")
     n = dm.n
     if not 0 <= max_dim <= n - 1:
         raise InputError(f"max_dim must be in [0, {n - 1}], got {max_dim}")

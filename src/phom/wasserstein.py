@@ -25,8 +25,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, ResourceError
+from .geometry import DEFAULT_MEMORY_BUDGET_BYTES
 from .persistence import Barcode
-from .vr import DEFAULT_MEMORY_BUDGET_BYTES
 
 __all__ = [
     "MatchingProblem",
@@ -151,8 +151,8 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
         raise InputError(f"p must satisfy 1 <= p < inf, got {p}")
     if dims is None:
         dims = np.union1d(b1.dims, b2.dims).tolist()
-    elif not dims or min(dims) < 0:
-        raise InputError(f"dims must be a nonempty list of nonnegative dimensions, got {dims}")
+    elif not dims or min(dims) < 0 or len(set(dims)) < len(dims):
+        raise InputError(f"dims must list distinct nonnegative dimensions, got {dims}")
     # canonical argument order makes d(a, b) and d(b, a) run the exact
     # same float computation, so symmetry holds to the last bit
     if _sorts_after(b1, b2):

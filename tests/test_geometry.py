@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from phom import (
     InputError,
     PointCloud,
+    ResourceError,
     distance_matrix,
     euclidean_distance,
     read_point_csv,
@@ -55,6 +57,20 @@ def test_distance_matrix_small():
     assert one.n == 1 and one.entries[0, 0] == 0.0
     two = distance_matrix(PointCloud([[0.0], [1.0]]))
     assert two.entries[0, 1] == 1.0 and two.entries[1, 0] == 1.0
+
+
+def test_distance_matrix_refuses_oversized():
+    # 33,000 points need an 8.7 GB matrix, over the 8 GiB budget: refused
+    # before anything of that size is allocated
+    cloud = PointCloud(np.arange(33_000.0)[:, None])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="budget"):
+            distance_matrix(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 def test_distance_matrix_invariants_random():

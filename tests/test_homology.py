@@ -155,8 +155,9 @@ def test_boundary_matrix_panics_on_missing_face():
 
 def test_boundary_matrix_matches_dict_oracle():
     # the packed builder finds facets by key; the oracle by a dictionary
-    # over vertex tuples. Columns must agree for whole filtrations and
-    # for prefixes, on random clouds and on a grid with duplicate points
+    # over vertex tuples. Coboundary rows, each ascending, must be the
+    # transpose of the oracle's columns, on random clouds and on a grid
+    # with duplicate points
     rng = np.random.default_rng(41)
     cases = []
     for rule in (PAPER_2EPS, DIAMETER_EPS):
@@ -169,7 +170,16 @@ def test_boundary_matrix_matches_dict_oracle():
         f = build_vr(distance_matrix(cloud), eps, max_dim, edge_rule=rule)
         pairs = simplices(f)
         bm = build_boundary_matrix(f)
-        assert bm.columns == boundary_columns(pairs)
+        columns = boundary_columns(pairs)
+        rows = [[] for _ in columns]
+        for j, col in enumerate(columns):
+            for i in col:
+                rows[i].append(j)
+        assert bm.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+        got = [bm.cofaces[a:b].tolist() for a, b in zip(bm.indptr[:-1], bm.indptr[1:])]
+        assert all(r == sorted(r) for r in got)
+        assert got == rows
+        assert bm.columns == columns
         assert bm.births.tolist() == [b for _, b in pairs]
         assert bm.dims.tolist() == [len(s) - 1 for s, _ in pairs]
 
@@ -237,8 +247,9 @@ def test_betti_validation():
     f = build_vr(dm, 1.0, 1)
     with pytest.raises(InputError):
         betti_numbers(f, 1.0, 1)  # needs (k+1)-simplices: max_k < max_dim
-    with pytest.raises(InputError):
-        betti_numbers(f, 2.0, 0)  # eps beyond the filtration
+    for eps in (2.0, math.inf, math.nan, -0.5):  # beyond the filtration, or no scale
+        with pytest.raises(InputError):
+            betti_numbers(f, eps, 0)
 
 
 def test_betti_matches_dense_gf2_oracle():

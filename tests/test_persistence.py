@@ -156,6 +156,10 @@ def test_intervals_min_length_filter():
     assert not [iv for iv in filtered if iv.dim == 1]
     # infinite bars survive any threshold
     assert [iv for iv in filtered if iv.is_infinite]
+    # nan would compare false and silently drop every finite bar
+    for bad in (-0.1, math.nan):
+        with pytest.raises(InputError):
+            intervals(f, min_length=bad)
 
 
 def test_unique_infinite_bar_per_component():
@@ -172,6 +176,9 @@ def test_betti_curve_examples():
     assert betti_curve(bc, 123.0) == [1]
     with pytest.raises(InputError):
         betti_curve(bc, 0.5, max_k=-1)
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            betti_curve(bc, eps)
     square = intervals(build_vr(distance_matrix(SQUARE), 1.0, 2))
     assert betti_curve(square, 0.6)[1] == 1
     assert betti_curve(square, 0.8)[1] == 0

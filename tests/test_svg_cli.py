@@ -323,6 +323,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     big.write_text("dim,birth,death\n" + "".join(f"0,0,{i + 1}\n" for i in range(33_000)))
     assert run_cli("compare", str(big), str(big)) == 2
     assert "budget" in capsys.readouterr().err
+    # a distance matrix over the memory budget: exit 2
+    many = tmp_path / "many.csv"
+    many.write_text("".join(f"{i}\n" for i in range(33_000)))
+    assert run_cli("vr", str(many), "--eps", "1", "--max-dim", "1") == 2
+    assert "budget" in capsys.readouterr().err
+    # a scale or threshold that is not a number, and a repeated dimension: exit 1
+    bc = tmp_path / "bc.csv"
+    bc.write_text("dim,birth,death\n0,0,inf\n0,0,1\n1,0.2,0.5\n")
+    refused = [
+        ("vr", str(pts), "--eps", "nan", "--max-dim", "2"),
+        ("vr", str(pts), "--eps", "inf", "--max-dim", "2"),
+        ("betti", str(pts), "--eps", "nan", "--max-k", "1"),
+        ("betti", str(bc), "--eps", "nan"),
+        ("betti", str(bc), "--eps", "inf"),
+        ("persist", str(pts), "--eps", "0.3", "--max-dim", "1", "--min-length", "nan"),
+        ("compare", str(bc), str(bc), "--dims", "1,1"),
+    ]
+    for argv in refused:
+        assert run_cli(*argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_cli_determinism(tmp_path):

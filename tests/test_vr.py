@@ -140,8 +140,9 @@ def test_build_vr_budget():
 
 def test_build_vr_validation():
     dm = distance_matrix(SQUARE)
-    with pytest.raises(InputError):
-        build_vr(dm, -1.0, 2)
+    for eps in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            build_vr(dm, eps, 2)
     with pytest.raises(InputError):
         build_vr(dm, 0.5, 4)  # max_dim > n-1
     with pytest.raises(InputError):

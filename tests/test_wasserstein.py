@@ -228,6 +228,9 @@ def test_wasserstein_dims_filter():
     for dims in ([], [-3], [0, -1]):
         with pytest.raises(InputError):
             wasserstein_p(b1, b2, 2.0, dims=dims)
+    # a repeated dimension would be counted twice
+    with pytest.raises(InputError):
+        wasserstein_p(b1, b2, 2.0, dims=[1, 1])
 
 
 def test_wasserstein_matches_brute_force():
