@@ -11,9 +11,7 @@ from .geometry import (
     DistanceMatrix,
     PointCloud,
     distance_matrix,
-    euclidean_distance,
     read_point_csv,
-    rescale_unit_box,
     write_point_csv,
 )
 from .generators import (
@@ -46,7 +44,6 @@ from .vr import (
     PAPER_2EPS,
     Filtration,
     build_vr,
-    fully_connected_eps,
 )
 from .wasserstein import MatchingProblem, wasserstein_p
 
@@ -75,8 +72,6 @@ __all__ = [
     "build_boundary_matrix",
     "build_vr",
     "distance_matrix",
-    "euclidean_distance",
-    "fully_connected_eps",
     "gen_fibonacci_sphere",
     "gen_msd_manifold",
     "gen_sphere_latlon",
@@ -88,7 +83,6 @@ __all__ = [
     "reduce",
     "render_barcode_svg",
     "render_diagram_svg",
-    "rescale_unit_box",
     "stiffness_matrix",
     "wasserstein_p",
     "write_barcode_csv",

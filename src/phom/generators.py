@@ -75,13 +75,7 @@ def gen_sphere_latlon(
             z = cv
             pts.append((x, y, z))
     if dedupe:
-        seen = set()
-        unique = []
-        for p in pts:
-            if p not in seen:
-                seen.add(p)
-                unique.append(p)
-        pts = unique
+        pts = list(dict.fromkeys(pts))
     return PointCloud(pts)
 
 
@@ -132,16 +126,23 @@ class MsdConfig:
     mode_index: int = 1
 
     def __post_init__(self):
-        if min(self.m1, self.m2, self.m3) <= 0.0:
+        # every check is written so that nan fails it
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
+        if not all(m > 0.0 for m in (self.m1, self.m2, self.m3)):
             raise InputError("masses must be positive")
-        if min(self.k1, self.k2, self.k3, self.k4) < 0.0:
+        if not all(k >= 0.0 for k in (self.k1, self.k2, self.k3, self.k4)):
             raise InputError("stiffnesses must be nonnegative")
         for name, divs in (("t", self.t_divs), ("alpha", self.alpha_divs), ("d", self.d_divs)):
-            if divs < 2:
+            if not divs >= 2:
                 raise InputError(f"{name}_divs must be >= 2, got {divs}")
-        if self.t_min > self.t_max or self.alpha_min > self.alpha_max or self.d_min > self.d_max:
+        ranges = (
+            (self.t_min, self.t_max), (self.alpha_min, self.alpha_max), (self.d_min, self.d_max)
+        )
+        if not all(lo <= hi for lo, hi in ranges):
             raise InputError("grid ranges must satisfy min <= max")
-        if self.d_min < 0.0 or self.d_max > 1.0:
+        if not (0.0 <= self.d_min and self.d_max <= 1.0):
             raise InputError("damage D2 must lie in [0, 1]")
         if self.mode_index not in (1, 2, 3):
             raise InputError(f"mode_index must be 1, 2 or 3, got {self.mode_index}")
@@ -224,20 +225,21 @@ def stiffness_matrix(
     )
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 50):
+def _jacobi_eigh(a: np.ndarray):
     """Cyclic Jacobi diagonalization of a small symmetric matrix.
 
     Sweeps rotate away each off-diagonal entry in turn until the
-    off-diagonal Frobenius norm drops below tol relative to the matrix
-    norm. Returns (eigenvalues, eigenvectors as columns), unsorted.
+    off-diagonal Frobenius norm drops below 1e-13 relative to the matrix
+    norm, in at most 50 sweeps. Returns (eigenvalues, eigenvectors as
+    columns), unsorted.
     """
     n = a.shape[0]
     a = a.copy()
     v = np.eye(n)
     scale = max(1.0, float(np.sqrt(np.sum(a * a))))
-    for _ in range(max_sweeps):
+    for _ in range(50):
         off = math.sqrt(sum(a[p, q] ** 2 for p in range(n) for q in range(n) if p != q))
-        if off <= tol * scale:
+        if off <= 1e-13 * scale:
             return np.diagonal(a).copy(), v
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -257,9 +259,7 @@ def _jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 50):
                 a = rot.T @ a @ rot
                 a[p, q] = a[q, p] = 0.0
                 v = v @ rot
-    raise ComputationError(
-        f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
-    )
+    raise ComputationError("Jacobi eigensolver did not converge in 50 sweeps")
 
 
 def natural_frequencies(
@@ -301,11 +301,11 @@ def gen_msd_manifold(cfg: MsdConfig, embed: str = "eigenvalue") -> PointCloud:
     grid contains); "frequency" uses its square root and therefore rejects
     grids that reach negative effective stiffness.
 
-    Every dimension is then divided by its largest value over the cloud.
-    For nonnegative data this equals rescale_unit_box; an all-positive
-    cloud lands inside [0, 1]^4. A negative eigenvalue range survives
-    scaling (only its magnitude changes), which is what makes the
-    unphysical region visible as a far-away cluster.
+    Every dimension whose largest value over the cloud is positive is
+    then divided by that value; the others are left as they are. An
+    all-positive cloud lands inside [0, 1]^4. A negative eigenvalue range
+    survives scaling (only its magnitude changes), which is what makes
+    the unphysical region visible as a far-away cluster.
     """
     if embed not in ("eigenvalue", "frequency"):
         raise InputError(f"unknown embed choice {embed!r}")

@@ -1,4 +1,4 @@
-"""Point clouds, the Euclidean metric, distance matrices, and rescaling.
+"""Point clouds, their Euclidean distance matrices, and point-cloud CSV files.
 
 All operations are pure functions over immutable inputs; nothing here
 mutates its arguments, so everything is safe to share across threads.
@@ -14,9 +14,7 @@ __all__ = [
     "DEFAULT_MEMORY_BUDGET_BYTES",
     "PointCloud",
     "DistanceMatrix",
-    "euclidean_distance",
     "distance_matrix",
-    "rescale_unit_box",
     "read_point_csv",
     "write_point_csv",
 ]
@@ -24,6 +22,10 @@ __all__ = [
 # Resource guards refuse a run or array predicted to exceed this many bytes,
 # so an oversized input fails with ResourceError, not the kernel's OOM kill.
 DEFAULT_MEMORY_BUDGET_BYTES = 8 * 1024**3
+
+# distance_matrix fills this many rows at a time, so its coordinate
+# differences take block x n x d floats rather than n x n x d.
+_BLOCK_ROWS = 256
 
 
 class PointCloud:
@@ -37,7 +39,7 @@ class PointCloud:
 
     def __init__(self, points):
         try:
-            coords = np.asarray(points, dtype=np.float64)
+            coords = np.array(points, dtype=np.float64)
         except (ValueError, TypeError) as exc:
             raise InputError(f"malformed point list: {exc}") from exc
         if coords.ndim == 1 and coords.size > 0:
@@ -53,12 +55,8 @@ class PointCloud:
 
     @property
     def coords(self) -> np.ndarray:
-        """Read-only (n, d) coordinate array."""
+        """Read-only (n, d) copy of the input coordinates."""
         return self._coords
-
-    @property
-    def points(self) -> list[tuple[float, ...]]:
-        return [tuple(row) for row in self._coords]
 
     @property
     def dim(self) -> int:
@@ -67,25 +65,20 @@ class PointCloud:
     def __len__(self) -> int:
         return self._coords.shape[0]
 
-    def __getitem__(self, i) -> np.ndarray:
-        return self._coords[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PointCloud) and np.array_equal(
-            self._coords, other._coords
-        )
-
     def __repr__(self) -> str:
         return f"PointCloud(n={len(self)}, dim={self.dim})"
 
 
 class DistanceMatrix:
-    """Symmetric nonnegative n x n matrix with a zero diagonal."""
+    """Symmetric nonnegative n x n matrix with a zero diagonal. A writeable
+    input is copied; a read-only one, as distance_matrix passes, is kept."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
         m = np.asarray(entries, dtype=np.float64)
+        if m.flags.writeable:
+            m = m.copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InputError("distance matrix must be square and nonempty")
         if not np.array_equal(m, m.T):
@@ -105,29 +98,11 @@ class DistanceMatrix:
     def n(self) -> int:
         return self._entries.shape[0]
 
-    def __getitem__(self, ij) -> float:
-        return float(self._entries[ij])
-
-    def max_distance(self) -> float:
-        """Largest pairwise distance (the diameter of the cloud)."""
-        return float(self._entries.max())
-
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n})"
 
 
-def euclidean_distance(p, q) -> float:
-    """Euclidean distance between two coordinate vectors of equal dimension."""
-    a = np.asarray(p, dtype=np.float64)
-    b = np.asarray(q, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InputError(
-            f"dimension mismatch: {a.shape} vs {b.shape}"
-        )
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
-def distance_matrix(cloud: PointCloud, block: int = 256) -> DistanceMatrix:
+def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
     """Full matrix of pairwise Euclidean distances.
 
     Computed from coordinate differences (not the Gram-matrix identity) so
@@ -143,26 +118,12 @@ def distance_matrix(cloud: PointCloud, block: int = 256) -> DistanceMatrix:
             f"over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte memory budget"
         )
     d = np.empty((n, n), dtype=np.float64)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
         diff = x[lo:hi, None, :] - x[None, :, :]
         d[lo:hi] = np.sqrt(np.sum(diff * diff, axis=-1))
+    d.setflags(write=False)
     return DistanceMatrix(d)
-
-
-def rescale_unit_box(cloud: PointCloud) -> PointCloud:
-    """Divide every coordinate by its dimension's largest absolute value.
-
-    Dimensions that are identically zero are left unchanged, which keeps
-    the operation total. Output lies in [-1, 1]^d, and in [0, 1]^d for
-    nonnegative input. Idempotent: the per-dimension maximum of the result
-    is exactly 1 (or 0), so a second application divides by 1.
-    """
-    x = cloud.coords.copy()
-    scale = np.max(np.abs(x), axis=0)
-    nonzero = scale > 0.0
-    x[:, nonzero] = x[:, nonzero] / scale[nonzero]
-    return PointCloud(x)
 
 
 def read_point_csv(path) -> PointCloud:

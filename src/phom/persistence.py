@@ -74,14 +74,6 @@ class PersistenceInterval:
                 f"interval must satisfy birth <= death, got [{self.birth}, {self.death}]"
             )
 
-    @property
-    def length(self) -> float:
-        return self.death - self.birth
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.death)
-
 
 class Barcode:
     """Multiset of persistence intervals plus the scale range they were

@@ -25,10 +25,11 @@ def _color(dim: int) -> str:
     return PALETTE[dim % len(PALETTE)]
 
 
-def _ticks(limit: float, n: int = 5) -> list[float]:
+def _ticks(limit: float) -> list[float]:
+    """Five evenly spaced axis ticks from 0 to limit."""
     if limit <= 0.0:
         return [0.0]
-    return [limit * i / (n - 1) for i in range(n)]
+    return [limit * i / 4 for i in range(5)]
 
 
 def _span(b: Barcode) -> float:

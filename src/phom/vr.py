@@ -38,7 +38,6 @@ __all__ = [
     "DIAMETER_EPS",
     "build_vr",
     "facet_rows",
-    "fully_connected_eps",
     "ESTIMATED_BYTES_PER_SIMPLEX",
 ]
 
@@ -229,9 +228,3 @@ def build_vr(
         max_dim=max_dim,
         n_vertices=n,
     )
-
-
-def fully_connected_eps(dm: DistanceMatrix, edge_rule: str = PAPER_2EPS) -> float:
-    """Scale at which all vertices form one simplex: the largest pairwise
-    distance mapped through the edge rule (0 for a single point)."""
-    return dm.max_distance() * _birth_scale(edge_rule)

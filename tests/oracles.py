@@ -170,6 +170,12 @@ def brute_force_vr(points, eps, max_dim, rule="paper-2eps", entries=None):
     return out
 
 
+def fully_connected_eps(entries, rule):
+    """Scale at which all vertices form one simplex: the largest entry of a
+    distance matrix mapped through the edge rule (0 for a single point)."""
+    return float(np.max(entries)) * (0.5 if rule == "paper-2eps" else 1.0)
+
+
 def gf2_rank(rows):
     """Rank of a GF(2) matrix given as an iterable of uint8 numpy rows."""
     mat = [np.array(r, dtype=np.uint8) % 2 for r in rows]

@@ -34,6 +34,7 @@ from oracles import (
     dense_betti,
     euler_characteristic_from_counts,
     facets,
+    fully_connected_eps,
     prefix_length,
     simplices,
 )
@@ -96,7 +97,7 @@ def msd2_filtration(msd_clouds):
 def dim0_barcode(cloud):
     """Dim-0 persistence needs only the edge graph, built to full scale."""
     dm = phom.distance_matrix(cloud)
-    fce = phom.fully_connected_eps(dm, DIAMETER_EPS)
+    fce = fully_connected_eps(dm.entries, DIAMETER_EPS)
     f = phom.build_vr(dm, fce, 1, edge_rule=DIAMETER_EPS)
     return f, phom.intervals(f)
 
@@ -214,7 +215,7 @@ def test_criterion_3_connectivity_thresholds(msd_clouds):
     for (k2, mode), tab in sorted(MSD_TABS.items()):
         f, barcode = dim0_barcode(msd_clouds[(k2, mode)])
         deaths = [
-            iv.death for iv in barcode if iv.dim == 0 and not iv.is_infinite
+            iv.death for iv in barcode if iv.dim == 0 and not math.isinf(iv.death)
         ]
         threshold = max(deaths)
         births_between = sorted(
@@ -353,7 +354,7 @@ def test_criterion_5a_boundary_squared_exhaustive():
     # the package's own boundary operator on the full simplex on 6 points:
     # every column is the oracle's facet set, and d o d = 0 over GF(2)
     dm = phom.distance_matrix(phom.PointCloud(rng.uniform(size=(6, 3))))
-    f = phom.build_vr(dm, phom.fully_connected_eps(dm), 5)
+    f = phom.build_vr(dm, fully_connected_eps(dm.entries, PAPER_2EPS), 5)
     assert len(f) == 2**6 - 1
     pairs = simplices(f)
     bm = phom.build_boundary_matrix(f)
@@ -412,7 +413,7 @@ def test_criterion_5c_betti0_union_find():
         n = int(rng.integers(4, 13))
         pts = rng.normal(size=(n, 2)) * rng.uniform(0.5, 2.0)
         dm = phom.distance_matrix(phom.PointCloud(pts))
-        f = phom.build_vr(dm, phom.fully_connected_eps(dm), 1)
+        f = phom.build_vr(dm, fully_connected_eps(dm.entries, PAPER_2EPS), 1)
         pairs = simplices(f)
         for eps in sorted(set(f.births.tolist())):
             edges = [s for s, b in pairs if len(s) == 2 and b <= eps]
@@ -430,7 +431,7 @@ def test_criterion_5d_reduction_vs_dense_oracle():
         n = int(rng.integers(4, 11))
         pts = rng.uniform(size=(n, 2))
         dm = phom.distance_matrix(phom.PointCloud(pts))
-        f = phom.build_vr(dm, phom.fully_connected_eps(dm), min(4, n - 1))
+        f = phom.build_vr(dm, fully_connected_eps(dm.entries, PAPER_2EPS), min(4, n - 1))
         max_k = min(3, f.max_dim - 1)
         pairs = simplices(f)
         for eps in sorted(set(f.births.tolist())):
@@ -471,7 +472,7 @@ def test_criterion_5f_betti_curve_cross_check():
         n = int(rng.integers(4, 16))
         pts = rng.uniform(size=(n, 2))
         dm = phom.distance_matrix(phom.PointCloud(pts))
-        f = phom.build_vr(dm, phom.fully_connected_eps(dm), 3)
+        f = phom.build_vr(dm, fully_connected_eps(dm.entries, PAPER_2EPS), 3)
         barcode = phom.intervals(f)
         pairs = simplices(f)
         for eps in sorted(set(f.births.tolist())):
@@ -586,7 +587,7 @@ def test_criterion_6_known_shape_bars():
     f = phom.build_vr(dm, 1.0, 2, edge_rule=PAPER_2EPS)
     barcode = phom.intervals(f)
     loops = [iv for iv in barcode if iv.dim == 1]
-    long_loops = [iv for iv in loops if iv.length > 0.3]
+    long_loops = [iv for iv in loops if iv.death - iv.birth > 0.3]
     assert len(loops) == 1 and len(long_loops) == 1
     bar = loops[0]
     assert math.isclose(bar.birth, math.sin(math.pi / 20.0), rel_tol=1e-12)
@@ -603,7 +604,7 @@ def test_criterion_6_known_shape_bars():
     assert oracle_birth == bar.birth and oracle_dead == bar.death
     say(
         f"[criterion 6] circle-20 loop [{bar.birth:.6f}, {bar.death:.6f}) "
-        f"length {bar.length:.6f} > 0.3: PASS"
+        f"length {bar.death - bar.birth:.6f} > 0.3: PASS"
     )
 
     square = phom.PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -28,9 +28,9 @@ def paper_cfg(**overrides):
 # --- spheres ---
 
 def test_latlon_poles_once():
-    pts = gen_sphere_latlon(4, 3).points
-    assert pts.count((0.0, 0.0, 1.0)) == 1
-    assert pts.count((0.0, 0.0, -1.0)) == 1
+    pts = gen_sphere_latlon(4, 3).coords.tolist()
+    assert pts.count([0.0, 0.0, 1.0]) == 1
+    assert pts.count([0.0, 0.0, -1.0]) == 1
 
 
 def test_latlon_z_bounded():
@@ -87,7 +87,7 @@ def test_fibonacci_norms_and_spread():
 
 def test_fibonacci_distinct_at_a_million():
     cloud = gen_fibonacci_sphere(1_000_000)
-    assert len({tuple(p) for p in cloud.points}) == 1_000_000
+    assert len(np.unique(cloud.coords, axis=0)) == 1_000_000
 
 
 # --- mass-spring chain ---
@@ -204,6 +204,12 @@ def test_msd_config_validation():
         paper_cfg(mode_index=4)
     with pytest.raises(InputError):
         paper_cfg(d_max=1.5)
+    # nan compares false, so each check must be written to fail on it;
+    # inf parameters would write points instead of failing
+    for name in ("m1", "k1", "t_min", "t_max", "alpha_max", "d_min", "d_max"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match=name):
+                paper_cfg(**{name: bad})
 
 
 def test_msd_config_warns_on_unphysical_grid():

@@ -5,30 +5,26 @@ import numpy as np
 import pytest
 
 from phom import (
+    DistanceMatrix,
     InputError,
     PointCloud,
     ResourceError,
     distance_matrix,
-    euclidean_distance,
+    geometry,
     read_point_csv,
-    rescale_unit_box,
     write_point_csv,
 )
 
 
 def test_euclidean_identity_and_345():
-    assert euclidean_distance((0, 0), (0, 0)) == 0.0
-    assert euclidean_distance((0, 0), (3, 4)) == 5.0
+    m = distance_matrix(PointCloud([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])).entries
+    assert m[0, 1] == 0.0
+    assert m[0, 2] == 5.0
 
 
 def test_euclidean_4d_direct_sum():
     # sqrt(1+1+1+1) = 2
-    assert euclidean_distance((1, 1, 1, 1), (0, 0, 0, 0)) == 2.0
-
-
-def test_euclidean_dimension_mismatch():
-    with pytest.raises(InputError):
-        euclidean_distance((1, 2), (1, 2, 3))
+    assert distance_matrix(PointCloud([[1, 1, 1, 1], [0, 0, 0, 0]])).entries[0, 1] == 2.0
 
 
 def test_euclidean_zero_iff_equal():
@@ -36,9 +32,9 @@ def test_euclidean_zero_iff_equal():
     for _ in range(200):
         p = rng.normal(size=3)
         q = rng.normal(size=3)
-        d = euclidean_distance(p, q)
-        assert (d == 0.0) == bool(np.all(p == q))
-        assert euclidean_distance(p, p) == 0.0
+        m = distance_matrix(PointCloud([p, q, p])).entries
+        assert (m[0, 1] == 0.0) == bool(np.all(p == q))
+        assert m[0, 2] == 0.0
 
 
 def test_pointcloud_validation():
@@ -57,6 +53,20 @@ def test_distance_matrix_small():
     assert one.n == 1 and one.entries[0, 0] == 0.0
     two = distance_matrix(PointCloud([[0.0], [1.0]]))
     assert two.entries[0, 1] == 1.0 and two.entries[1, 0] == 1.0
+
+
+def test_constructors_leave_caller_arrays_alone():
+    x = np.random.default_rng(13).random((5, 3))
+    cloud = PointCloud(x)
+    d = distance_matrix(cloud).entries.copy()
+    dm = DistanceMatrix(d)
+    assert x.flags.writeable and d.flags.writeable
+    x0, d0 = x.copy(), d.copy()
+    x[0, 0] = 7.0
+    d[0, 1] = d[1, 0] = 7.0
+    assert np.array_equal(cloud.coords, x0) and np.array_equal(dm.entries, d0)
+    # a read-only matrix, as distance_matrix makes, is kept without a copy
+    assert DistanceMatrix(dm.entries).entries is dm.entries
 
 
 def test_distance_matrix_refuses_oversized():
@@ -87,36 +97,13 @@ def test_distance_matrix_invariants_random():
         assert np.all(lhs <= rhs + 1e-12 * (1.0 + rhs))
 
 
-def test_distance_matrix_blocking_agrees():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(40, 3))
-    a = distance_matrix(PointCloud(pts), block=7).entries
-    b = distance_matrix(PointCloud(pts), block=1000).entries
+def test_distance_matrix_blocking_agrees(monkeypatch):
+    cloud = PointCloud(np.random.default_rng(3).normal(size=(40, 3)))
+    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
+    a = distance_matrix(cloud).entries
+    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 1000)
+    b = distance_matrix(cloud).entries
     assert np.array_equal(a, b)
-
-
-def test_rescale_examples():
-    assert rescale_unit_box(PointCloud([[2.0, 4.0]])).points == [(1.0, 1.0)]
-    got = rescale_unit_box(PointCloud([[1.0, 0.0], [2.0, 10.0]]))
-    assert got.points == [(0.5, 0.0), (1.0, 1.0)]
-
-
-def test_rescale_zero_dimension_untouched():
-    got = rescale_unit_box(PointCloud([[0.0, 3.0], [0.0, 6.0]]))
-    assert got.points == [(0.0, 0.5), (0.0, 1.0)]
-
-
-def test_rescale_idempotent_and_bounded():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        pts = rng.normal(size=(8, 3)) * rng.uniform(0.1, 100)
-        once = rescale_unit_box(PointCloud(pts))
-        twice = rescale_unit_box(once)
-        assert np.array_equal(once.coords, twice.coords)
-        assert np.all(np.abs(once.coords) <= 1.0)
-    nonneg = rng.uniform(0.0, 50.0, size=(30, 4))
-    scaled = rescale_unit_box(PointCloud(nonneg))
-    assert np.all(scaled.coords >= 0.0) and np.all(scaled.coords <= 1.0)
 
 
 def test_point_csv_round_trip(tmp_path):

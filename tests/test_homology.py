@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import phom
 from phom import (
     DIAMETER_EPS,
     PAPER_2EPS,
@@ -71,6 +72,31 @@ def test_package_layering():
             assert "phom.persistence" not in named, (
                 f"{path.name}:{node.lineno}: imports from phom.persistence"
             )
+
+
+def test_public_names_have_callers():
+    # every public name is used by the program itself, not only by tests:
+    # some module other than __init__.py refers to it outside its own
+    # top-level definition
+    src = pathlib.Path(__file__).parents[1] / "src" / "phom"
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            defined = {getattr(top, "name", None)}
+            if isinstance(top, ast.Assign):
+                defined = {t.id for t in top.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name not in defined:
+                    used.add(name)
+    assert sorted(set(phom.__all__) - used) == []
 
 
 def test_boundary_of_vertex_is_zero():

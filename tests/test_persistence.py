@@ -30,7 +30,7 @@ def make_filtration(pts, eps, max_dim):
 
 def test_interval_validation():
     iv = PersistenceInterval(0, 0.0, math.inf)
-    assert iv.is_infinite and iv.length == math.inf
+    assert math.isinf(iv.death) and iv.death - iv.birth == math.inf
     with pytest.raises(InputError):
         PersistenceInterval(0, 2.0, 1.0)
     with pytest.raises(InputError):
@@ -145,17 +145,17 @@ def test_intervals_zero_length_dropped_and_kept():
     plain = intervals(f)
     kept = intervals(f, keep_zero=True)
     assert len(kept) >= len(plain)
-    assert all(iv.length > 0.0 for iv in plain)
+    assert all(iv.death - iv.birth > 0.0 for iv in plain)
 
 
 def test_intervals_min_length_filter():
     f = build_vr(distance_matrix(SQUARE), 1.0, 2)
     filtered = intervals(f, min_length=0.3)
-    assert all(iv.length > 0.3 for iv in filtered)
+    assert all(iv.death - iv.birth > 0.3 for iv in filtered)
     # the loop [0.5, 0.707) is shorter than 0.3 and disappears
     assert not [iv for iv in filtered if iv.dim == 1]
     # infinite bars survive any threshold
-    assert [iv for iv in filtered if iv.is_infinite]
+    assert [iv for iv in filtered if math.isinf(iv.death)]
     # nan would compare false and silently drop every finite bar
     for bad in (-0.1, math.nan):
         with pytest.raises(InputError):
@@ -166,7 +166,7 @@ def test_unique_infinite_bar_per_component():
     pts = [[0.0, 0.0], [0.5, 0.0], [10.0, 0.0], [10.5, 0.0], [20.0, 0.0]]
     f = make_filtration(pts, 1.0, 1)
     barcode = intervals(f)
-    inf_bars = [iv for iv in barcode if iv.is_infinite and iv.dim == 0]
+    inf_bars = [iv for iv in barcode if math.isinf(iv.death) and iv.dim == 0]
     assert len(inf_bars) == 3  # three far-apart clusters never merge
 
 

@@ -328,9 +328,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     many.write_text("".join(f"{i}\n" for i in range(33_000)))
     assert run_cli("vr", str(many), "--eps", "1", "--max-dim", "1") == 2
     assert "budget" in capsys.readouterr().err
-    # a scale or threshold that is not a number, and a repeated dimension: exit 1
+    # a scale, threshold or parameter that is not a finite number, and a
+    # repeated dimension: exit 1
     bc = tmp_path / "bc.csv"
     bc.write_text("dim,birth,death\n0,0,inf\n0,0,1\n1,0.2,0.5\n")
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("k1 = inf\n")
     refused = [
         ("vr", str(pts), "--eps", "nan", "--max-dim", "2"),
         ("vr", str(pts), "--eps", "inf", "--max-dim", "2"),
@@ -339,6 +342,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("betti", str(bc), "--eps", "inf"),
         ("persist", str(pts), "--eps", "0.3", "--max-dim", "1", "--min-length", "nan"),
         ("compare", str(bc), str(bc), "--dims", "1,1"),
+        ("gen", "msd", "--config", str(cfg), "--out", str(tmp_path / "o.csv")),
     ]
     for argv in refused:
         assert run_cli(*argv) == 1, argv

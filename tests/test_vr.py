@@ -12,7 +12,6 @@ from phom import (
     ResourceError,
     build_vr,
     distance_matrix,
-    fully_connected_eps,
     gen_sphere_latlon,
 )
 import phom.vr
@@ -147,16 +146,6 @@ def test_build_vr_validation():
         build_vr(dm, 0.5, 4)  # max_dim > n-1
     with pytest.raises(InputError):
         build_vr(dm, 0.5, 2, edge_rule="half-eps")
-
-
-def test_fully_connected_eps():
-    single = distance_matrix(PointCloud([[1.0, 2.0]]))
-    assert fully_connected_eps(single) == 0.0
-    pair = distance_matrix(PointCloud([[0.0], [2.0]]))
-    assert fully_connected_eps(pair) == 1.0
-    assert fully_connected_eps(pair, DIAMETER_EPS) == 2.0
-    dm = distance_matrix(SQUARE)
-    assert math.isclose(fully_connected_eps(dm), math.sqrt(2) / 2, rel_tol=1e-15)
 
 
 def test_filtration_prefix_and_lookup():

@@ -319,7 +319,7 @@ def test_wasserstein_scale_equivariance():
         c = 3.5
         scale = lambda bcode: Barcode(
             tuple(
-                iv(x.dim, c * x.birth, c * x.death if not x.is_infinite else math.inf)
+                iv(x.dim, c * x.birth, c * x.death if not math.isinf(x.death) else math.inf)
                 for x in bcode
             ),
             eps_max=c * bcode.eps_max,
