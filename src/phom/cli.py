@@ -299,6 +299,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not text: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1

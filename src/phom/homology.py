@@ -3,10 +3,9 @@
 Over GF(2) a simplex's coboundary is just the set of its cofaces'
 filtration indices. The operator is stored once, as the compressed sparse
 rows that the reduction in ``persistence`` reads: row i is
-cofaces[indptr[i]:indptr[i + 1]], ascending, one int32 per nonzero. It is
-assembled one dimension at a time from the filtration's packed vertex
-rows: ``vr.facet_rows`` finds each facet by its combinatorial-number-system
-key, and the facet's position among its dimension's rows gives its index.
+cofaces[indptr[i]:indptr[i + 1]], ascending, one int32 per nonzero. The
+filtration already holds every simplex's facets, so the rows are the
+transpose of those facet arrays, taken one dimension at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vr import Filtration, facet_rows
+from .vr import Filtration
 
 __all__ = [
     "BoundaryMatrix",
@@ -55,30 +54,25 @@ class BoundaryMatrix:
 def build_boundary_matrix(f: Filtration) -> BoundaryMatrix:
     """Assemble the coboundary rows of every simplex of a filtration.
 
-    A missing facet means the filtration is not face-closed, which build_vr
-    can never produce; that is an internal invariant violation, not bad
-    input, hence RuntimeError.
+    A facet index outside the dimension below means the filtration is not
+    face-closed, which build_vr can never produce; that is an internal
+    invariant violation, not bad input, hence RuntimeError.
     """
     dims = f.dims
     counts = np.zeros(len(dims), dtype=np.int64)
     by_dim = []  # by_dim[k]: the cofaces of the k-simplices, simplex by simplex
-    for k in range(1, len(f.rows)):
+    for k in range(1, len(f.facets)):
         here = np.flatnonzero(dims == k).astype(np.int32)
-        facets = facet_rows(f.rows[k], f.rows[k - 1], f.n_vertices)
-        missing = np.argwhere(facets < 0)
-        if len(missing):
-            j, i = missing[0]
-            coface = f.rows[k][j]
-            raise RuntimeError(
-                "filtration violates face closure: "
-                f"{np.delete(coface, i).tolist()} missing for {coface.tolist()}"
-            )
-        counts[dims == k - 1] = np.bincount(facets.ravel(), minlength=len(f.rows[k - 1]))
+        below = len(f.facets[k - 1])
+        keys = f.facets[k].astype(np.int64)
+        if len(keys) and not 0 <= keys.min() <= keys.max() < below:
+            raise RuntimeError(f"face closure violated: {k}-simplex facet outside [0, {below})")
+        counts[dims == k - 1] = np.bincount(keys.ravel(), minlength=below)
         # one int64 key per (facet, coface) pair, facet * len(here) + coface
         # row: sorting the keys groups the pairs by facet, cofaces ascending
-        facets *= len(here)
-        facets += np.arange(len(here))[:, None]
-        keys = facets.ravel()
+        keys *= len(here)
+        keys += np.arange(len(here))[:, None]
+        keys = keys.ravel()
         keys.sort()
         keys %= len(here)
         by_dim.append(here[keys])

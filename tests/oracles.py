@@ -24,9 +24,20 @@ def facets(s):
 
 def simplices(f):
     """(vertex tuple, birth) pairs of a filtration in filtration order, read
-    from its packed arrays: the simplices of dimension k, in order, are the
-    rows of ``f.rows[k]``, and ``f.dims`` says which dimension comes next."""
-    per_dim = [iter(map(tuple, r.tolist())) for r in f.rows]
+    from its packed arrays. Vertex j is the j-th 0-simplex, and a k-simplex
+    is its facet k (which omits its last vertex) with the last vertex of
+    its facet 0 appended; every facet i is checked to be the tuple without
+    vertex i. ``f.dims`` says which dimension comes next."""
+    tuples = [[(j,) for j in range(len(f.facets[0]))]]
+    for k in range(1, len(f.facets)):
+        below, here = tuples[-1], []
+        for row in f.facets[k].tolist():
+            s = below[row[k]] + below[row[0]][-1:]
+            for i, j in enumerate(row):
+                assert below[j] == s[:i] + s[i + 1 :], (s, i, below[j])
+            here.append(s)
+        tuples.append(here)
+    per_dim = [iter(t) for t in tuples]
     return [(next(per_dim[k]), b) for k, b in zip(f.dims.tolist(), f.births.tolist())]
 
 

@@ -316,7 +316,7 @@ def test_budget_estimate_covers_peak_memory(msd_clouds):
 
 
 def test_build_vr_kept_memory(msd_clouds):
-    # a filtration is packed arrays: vertex rows, births and dims come to
+    # a filtration is packed arrays: facets, births and dims come to
     # about 26 B per simplex on this complex, against 243 B when every
     # simplex was a Python tuple
     dm = phom.distance_matrix(msd_clouds[(5000.0, 2)])

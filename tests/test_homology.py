@@ -163,27 +163,29 @@ def test_boundary_matrix_panics_on_missing_face():
     # not user input, so it surfaces as a plain RuntimeError
     from phom import Filtration
 
+    # the triangle's facet 0 points one past the last edge
     broken = Filtration(
-        rows=(
-            np.array([[0], [1]], dtype=np.int32),
-            np.empty((0, 2), dtype=np.int32),
-            np.array([[0, 1, 2]], dtype=np.int32),
+        facets=(
+            np.empty((3, 0), dtype=np.int32),
+            np.array([[1, 0], [2, 0]], dtype=np.int32),
+            np.array([[2, 1, 0]], dtype=np.int32),
         ),
-        births=np.array([0.0, 0.0, 1.0]),
-        dims=np.array([0, 0, 2], dtype=np.int8),
+        births=np.array([0.0, 0.0, 0.0, 0.5, 0.5, 1.0]),
+        dims=np.array([0, 0, 0, 1, 1, 2], dtype=np.int8),
         eps_max=1.0,
         max_dim=2,
-        n_vertices=3,
     )
     with pytest.raises(RuntimeError):
         build_boundary_matrix(broken)
 
 
-def test_boundary_matrix_matches_dict_oracle():
-    # the packed builder finds facets by key; the oracle by a dictionary
-    # over vertex tuples. Coboundary rows, each ascending, must be the
-    # transpose of the oracle's columns, on random clouds and on a grid
-    # with duplicate points
+def test_boundary_matrix_matches_dict_oracle(monkeypatch):
+    # build_vr records facets as it grows cliques; the oracle finds them by
+    # a dictionary over vertex tuples. Coboundary rows, each ascending,
+    # must be the transpose of the oracle's columns, on random clouds, on a
+    # grid with duplicate points and on a complex that empties out below
+    # max_dim, with parents taken in one block and in blocks of three so
+    # that facet lookups cross block boundaries
     rng = np.random.default_rng(41)
     cases = []
     for rule in (PAPER_2EPS, DIAMETER_EPS):
@@ -192,22 +194,31 @@ def test_boundary_matrix_matches_dict_oracle():
             cases.append((PointCloud(pts), float(rng.uniform(0.3, 0.9)), 3, rule))
     grid = gen_sphere_latlon(8, 5, include_u_endpoint=True, dedupe=False)
     cases.append((grid, 0.9, 3, DIAMETER_EPS))
+    # one triangle and a path of three far points: dimensions 3 and 4 are empty
+    sparse = PointCloud([[0, 0], [1, 0], [0.5, 0.8], [5, 0], [6, 0], [7, 0]])
+    cases.append((sparse, 1.0, 4, DIAMETER_EPS))
+    whole = phom.vr._MASK_CELLS
     for cloud, eps, max_dim, rule in cases:
-        f = build_vr(distance_matrix(cloud), eps, max_dim, edge_rule=rule)
-        pairs = simplices(f)
-        bm = build_boundary_matrix(f)
-        columns = boundary_columns(pairs)
-        rows = [[] for _ in columns]
-        for j, col in enumerate(columns):
-            for i in col:
-                rows[i].append(j)
-        assert bm.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
-        got = [bm.cofaces[a:b].tolist() for a, b in zip(bm.indptr[:-1], bm.indptr[1:])]
-        assert all(r == sorted(r) for r in got)
-        assert got == rows
-        assert bm.columns == columns
-        assert bm.births.tolist() == [b for _, b in pairs]
-        assert bm.dims.tolist() == [len(s) - 1 for s, _ in pairs]
+        dm = distance_matrix(cloud)
+        for cells in (whole, 3 * dm.n):
+            monkeypatch.setattr(phom.vr, "_MASK_CELLS", cells)
+            f = build_vr(dm, eps, max_dim, edge_rule=rule)
+            if cloud is sparse:
+                assert f.counts_by_dim() == {0: 6, 1: 5, 2: 1}
+            pairs = simplices(f)
+            bm = build_boundary_matrix(f)
+            columns = boundary_columns(pairs)
+            rows = [[] for _ in columns]
+            for j, col in enumerate(columns):
+                for i in col:
+                    rows[i].append(j)
+            assert bm.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+            got = [bm.cofaces[a:b].tolist() for a, b in zip(bm.indptr[:-1], bm.indptr[1:])]
+            assert all(r == sorted(r) for r in got)
+            assert got == rows
+            assert bm.columns == columns
+            assert bm.births.tolist() == [b for _, b in pairs]
+            assert bm.dims.tolist() == [len(s) - 1 for s, _ in pairs]
 
 
 def test_boundary_matrix_entries_precede_column():

@@ -117,7 +117,7 @@ def test_intervals_stop_below_max_dim():
     # 3-skeleton of the 4-simplex keeps one tetrahedron unpaired and the
     # square's four triangles one triangle, yet neither is Rips homology
     for f in (make_filtration(np.eye(5), 1.0, 3), build_vr(distance_matrix(SQUARE), 1.0, 2)):
-        assert len(f.rows[f.max_dim])
+        assert len(f.facets[f.max_dim])
         barcode = intervals(f, keep_zero=True)
         assert barcode.dims.tolist() and max(barcode.dims.tolist()) < f.max_dim
     assert betti_curve(intervals(make_filtration(np.eye(5), 1.0, 3)), 1.0, 2) == [1, 0, 0]

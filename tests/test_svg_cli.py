@@ -334,6 +334,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     bc.write_text("dim,birth,death\n0,0,inf\n0,0,1\n1,0.2,0.5\n")
     cfg = tmp_path / "inf.cfg"
     cfg.write_text("k1 = inf\n")
+    # a file that is not UTF-8 text
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad\n")
     refused = [
         ("vr", str(pts), "--eps", "nan", "--max-dim", "2"),
         ("vr", str(pts), "--eps", "inf", "--max-dim", "2"),
@@ -343,6 +346,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("persist", str(pts), "--eps", "0.3", "--max-dim", "1", "--min-length", "nan"),
         ("compare", str(bc), str(bc), "--dims", "1,1"),
         ("gen", "msd", "--config", str(cfg), "--out", str(tmp_path / "o.csv")),
+        ("vr", str(bad), "--eps", "1", "--max-dim", "1"),
+        ("betti", str(bad), "--eps", "1"),
+        ("persist", str(bad), "--eps", "1", "--max-dim", "1"),
+        ("compare", str(bad), str(bc)),
+        ("compare", str(bc), str(bad)),
+        ("plot", "barcode", str(bad), "--out", str(tmp_path / "bad.svg")),
+        ("gen", "msd", "--config", str(bad), "--out", str(tmp_path / "o.csv")),
     ]
     for argv in refused:
         assert run_cli(*argv) == 1, argv

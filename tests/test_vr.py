@@ -35,7 +35,9 @@ def test_build_vr_sorted_and_face_closed():
     assert keys == sorted(keys)
     assert all(b == 0.0 for s, b in pairs if len(s) == 1)
     check_face_closure(pairs)
-    assert [b for _, b in pairs[: f.n_vertices]] == [0.0] * f.n_vertices
+    n = f.counts_by_dim()[0]
+    assert [s for s, _ in pairs[:n]] == [(j,) for j in range(n)]
+    assert [b for _, b in pairs[:n]] == [0.0] * n
 
 
 def test_build_vr_matches_brute_force():
@@ -93,17 +95,23 @@ def test_build_vr_budget_is_exact(monkeypatch):
             build_vr(dm, 1.2, 4, max_simplices=total - 1)
 
 
-def test_build_vr_key_range_guard():
-    # 13 coincident-ish points among 200: the 12-dimensional clique is
-    # tiny, but its keys would run to C(200, 13) > 2**63
+def test_build_vr_high_dimension_among_many_vertices():
+    # 13 coincident-ish points among 200: the 12-dimensional clique is one
+    # simplex, however large C(200, 13) is, and it matches the subset scan
     rng = np.random.default_rng(11)
     far = np.array([[10.0 * x, 10.0 * y] for x in range(17) for y in range(11)])
     pts = np.concatenate([rng.uniform(0.0, 0.01, size=(13, 2)), far + 100.0])
     dm = distance_matrix(PointCloud(pts))
     assert dm.n == 200
     assert build_vr(dm, 1.0, 11).counts_by_dim()[11] == 13
-    with pytest.raises(ResourceError):
-        build_vr(dm, 1.0, 12)
+    f = build_vr(dm, 1.0, 12)
+    assert f.counts_by_dim()[12] == 1
+    got = dict(simplices(f))
+    want = brute_force_vr(pts[:13], 1.0, 12, entries=dm.entries)
+    assert len(got) == len(want) + 187
+    assert {s: b for s, b in got.items() if len(s) > 1} == {
+        s: b for s, b in want.items() if len(s) > 1
+    }
 
 
 def test_build_vr_monotone_in_eps():
@@ -161,22 +169,34 @@ def test_filtration_prefix_and_lookup():
 def test_check_face_closure_rejects_missing_and_late_faces():
     # the oracle behind the face-closure checks above must itself refuse a
     # missing face and a face born after its coface
-    def packed(edges, edge_births):
+    triangle = (0, 1, 2)
+    edges = [((0, 1), 0.5), ((0, 2), 0.6), ((1, 2), 0.7)]
+    vertices = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0)]
+    check_face_closure(vertices + edges + [(triangle, 1.0)])
+    with pytest.raises(AssertionError, match="missing"):
+        check_face_closure(vertices + edges[:2] + [(triangle, 1.0)])
+    with pytest.raises(AssertionError, match="born after"):
+        check_face_closure(vertices + edges[:2] + [((1, 2), 1.5), (triangle, 1.0)])
+
+
+def test_simplices_oracle_reads_facets():
+    # the oracle rebuilds vertex tuples from the facet arrays and refuses
+    # facets that are not the tuple without one vertex
+    def packed(triangle_facets):
         return Filtration(
-            rows=(
-                np.array([[0], [1], [2]], dtype=np.int32),
-                np.array(edges, dtype=np.int32).reshape(-1, 2),
-                np.array([[0, 1, 2]], dtype=np.int32),
+            facets=(
+                np.empty((3, 0), dtype=np.int32),
+                np.array([[1, 0], [2, 0], [2, 1]], dtype=np.int32),
+                np.array([triangle_facets], dtype=np.int32),
             ),
-            births=np.array([0.0, 0.0, 0.0, *edge_births, 1.0]),
-            dims=np.array([0, 0, 0] + [1] * len(edges) + [2], dtype=np.int8),
+            births=np.array([0.0, 0.0, 0.0, 0.5, 0.6, 0.7, 1.0]),
+            dims=np.array([0, 0, 0, 1, 1, 1, 2], dtype=np.int8),
             eps_max=2.0,
             max_dim=2,
-            n_vertices=3,
         )
 
-    check_face_closure(simplices(packed([[0, 1], [0, 2], [1, 2]], [0.5, 0.6, 0.7])))
-    with pytest.raises(AssertionError, match="missing"):
-        check_face_closure(simplices(packed([[0, 1], [0, 2]], [0.5, 0.6])))
-    with pytest.raises(AssertionError, match="born after"):
-        check_face_closure(simplices(packed([[0, 1], [0, 2], [1, 2]], [0.5, 0.6, 1.5])))
+    assert [s for s, _ in simplices(packed([2, 1, 0]))] == [
+        (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
+    ]
+    with pytest.raises(AssertionError):
+        simplices(packed([1, 2, 0]))
