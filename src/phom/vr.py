@@ -12,9 +12,9 @@ A filtration is a few packed numpy arrays, not a Python object per
 simplex: per dimension, each simplex's facets as int32 positions among
 the simplices one dimension down, which is all the boundary operator
 reads, and over all simplices a float64 births array and an int8 dims
-array, everything in filtration order. ``build_vr`` records the facets
-as it grows each simplex from its parent, so no simplex is ever looked
-up by its vertices.
+array, everything in filtration order. ``build_vr`` grows cliques by
+joining siblings (Zomorodian 2010) and records each simplex's facets as
+it is made, so no simplex is ever looked up by its vertices.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 # memory. The estimate is the tracemalloc peak of a whole persist or betti
 # run per simplex: at most 172.8 B on the reference complexes (k2=1e4
 # mode 3; msd2 149.1 B, lat-lon 116.1 B), rounded up to a multiple of 32.
+# reduce sets it on each of them; build_vr peaks at 67-73 B per simplex.
 # The default cap is ~44.7M simplices against 8 GiB.
 ESTIMATED_BYTES_PER_SIMPLEX = 192
 
-# build_vr forms the common-neighbour mask for a block of parents at a
-# time, this many cells (bytes) per block, so that the mask stays small
-# however many parents a dimension has.
-_MASK_CELLS = 1 << 22
+# build_vr joins siblings for a block of whole simplices at a time, at
+# most this many candidate pairs (or the n - 1 one simplex can have), so
+# that the int32 candidate arrays stay near 2 MB however large the complex.
+_BLOCK_PAIRS = 1 << 16
 
 
 def _birth_scale(rule: str) -> float:
@@ -103,18 +104,20 @@ def build_vr(
     """Enumerate every simplex of dimension <= max_dim born at or below
     eps_max, sorted into filtration order.
 
-    Cliques grow one dimension at a time. The children of a parent
-    simplex p add one vertex ``top`` above its last that is adjacent to
-    all of its vertices: the AND of their upper-triangular adjacency rows,
-    read off with np.nonzero. Parents are taken in lexicographic order, so
-    the children are too, and one stable sort by birth then gives the
-    (birth, dim, vertices) order. A child's last facet is p, and facet
-    i < k is p's facet i plus ``top``, found by its key: the child of q
-    and v has key q * n + v, ascending in lexicographic order. For k >= 2
-    every edge of a child lies in its facet 0, 1 or k, so its birth is
-    the largest of theirs. The running simplex count must stay within
-    ``max_simplices`` (default: an 8 GiB memory budget) before a block of
-    children is made, or ResourceError is raised.
+    Cliques grow one dimension at a time by joining siblings: the
+    (k - 1)-simplices p = q + {a} and s = q + {b}, a < b, with the same
+    parent q (vertices share the empty parent) make the k-simplex p + {b}
+    exactly when a and b are adjacent. Siblings are contiguous in
+    lexicographic order and each p is joined with those after it, so the
+    children come out in that order too; one stable sort by birth then
+    gives the (birth, dim, vertices) order. A child's facet k is p, its
+    facet k - 1 is s, and facet i < k - 1 is p's facet i plus b, found by
+    its key: the child of q and v has key q * n + v, ascending in
+    lexicographic order. Every edge of the child lies in p or s or is
+    (a, b), so its birth is the largest of theirs. The running simplex
+    count must stay within ``max_simplices`` (default: an 8 GiB memory
+    budget) before a block of children gets its facets, or ResourceError
+    is raised.
     """
     if not 0.0 < eps_max < math.inf:
         raise InputError(f"eps_max must be positive and finite, got {eps_max}")
@@ -124,6 +127,8 @@ def build_vr(
     scale = _birth_scale(edge_rule)
     if max_simplices is None:
         max_simplices = DEFAULT_MEMORY_BUDGET_BYTES // ESTIMATED_BYTES_PER_SIMPLEX
+    if max_simplices < 1:
+        raise InputError(f"max_simplices must be positive, got {max_simplices}")
     if max_simplices < n:
         raise ResourceError(
             f"budget of {max_simplices} simplices cannot hold {n} vertices"
@@ -131,57 +136,52 @@ def build_vr(
 
     d = dm.entries
     # admit a pair when its distance is <= eps_max / scale
-    adjacent = np.triu(d <= eps_max / scale, 1)
+    adjacent = d <= eps_max / scale
     # per dimension, in lexicographic order: the facets, and the births
     # before the edge rule's scale (the largest pairwise distance)
     facets = [np.empty((n, 0), dtype=np.int32)]
     raw = [np.zeros(n)]
-    # the vertex rows and keys of the dimension being grown from
-    rows = np.arange(n, dtype=np.int32)[:, None]
-    keys = np.arange(n, dtype=np.int64)
+    # the parents and last vertices of the dimension being grown from
+    parent = np.zeros(n, dtype=np.int32)
+    top = np.arange(n, dtype=np.int32)
     count = n
-    block = max(1, _MASK_CELLS // n)
     for k in range(1, max_dim + 1):
-        parent_facets, parent_births = facets[-1], raw[-1]
-        new_facets, new_births, new_rows, new_keys = [], [], [], []
-        # at least one block, so that an empty dimension gets empty arrays
-        for lo in range(0, max(len(rows), 1), block):
-            p = rows[lo : lo + block]
-            mask = adjacent[p[:, 0]]
-            for i in range(1, k):
-                mask &= adjacent[p[:, i]]
-            count += int(np.count_nonzero(mask))
+        keys = parent * np.int64(n) + top
+        # the siblings after simplex j run to the end of its parent's
+        # children; cum[j] counts those of the simplices before j
+        later = np.cumsum(np.bincount(parent))[parent] - np.arange(1, len(top) + 1)
+        cum = np.concatenate(([0], np.cumsum(later)))
+        new_facets, new_births, new_top = [], [], []
+        lo = 0
+        # whole simplices per block; an empty dimension makes one empty block
+        while lo < len(top) or not new_facets:
+            hi = int(np.searchsorted(cum, cum[lo] + _BLOCK_PAIRS, "right")) - 1
+            hi = min(max(hi, lo + 1), len(top))
+            first = np.repeat(np.arange(lo, hi, dtype=np.int32), later[lo:hi])
+            second = first + np.arange(len(first), dtype=np.int32)
+            second += np.repeat((cum[lo] - cum[lo:hi] + 1).astype(np.int32), later[lo:hi])
+            keep = adjacent[top[first], top[second]]
+            first, second = first[keep], second[keep]
+            count += len(first)
             if count > max_simplices:
                 raise ResourceError(
                     f"simplex budget exceeded: more than {max_simplices} "
                     f"simplices at dimension {k} (override with max_simplices)"
                 )
-            which, top = np.nonzero(mask)
-            del mask
-            parent = which + lo
-            fac = np.empty((len(top), k + 1), dtype=np.int32)
-            fac[:, k] = parent
-            if k == 1:
-                fac[:, 0] = top
-                b = np.maximum(parent_births[parent], d[parent, top])
-            else:
-                for i in range(k):
-                    fac[:, i] = np.searchsorted(
-                        keys, parent_facets[parent, i] * np.int64(n) + top
-                    )
-                b = parent_births[fac[:, [0, 1, k]]].max(axis=1)
+            a, b = top[first], top[second]
+            fac = np.empty((len(first), k + 1), dtype=np.int32)
+            fac[:, k - 1], fac[:, k] = second, first
+            for i in range(k - 1):
+                fac[:, i] = np.searchsorted(keys, facets[-1][first, i] * np.int64(n) + b)
             new_facets.append(fac)
-            new_births.append(b)
-            if k < max_dim:
-                new_rows.append(
-                    np.concatenate((p[which], top[:, None]), axis=1, dtype=np.int32)
-                )
-                new_keys.append(parent * n + top)
+            new_births.append(np.max([raw[-1][first], raw[-1][second], d[a, b]], axis=0))
+            new_top.append(b)
+            lo = hi
         facets.append(np.concatenate(new_facets))
         raw.append(np.concatenate(new_births))
-        if k < max_dim:
-            rows, keys = np.concatenate(new_rows), np.concatenate(new_keys)
-    del rows, keys
+        parent, top = facets[-1][:, k], np.concatenate(new_top)
+        del keys, later, cum, first, second, a, b, new_facets, new_births, new_top
+    del parent, top
 
     sizes = [len(b) for b in raw]
     births = np.concatenate(raw)

@@ -184,8 +184,9 @@ def test_boundary_matrix_matches_dict_oracle(monkeypatch):
     # a dictionary over vertex tuples. Coboundary rows, each ascending,
     # must be the transpose of the oracle's columns, on random clouds, on a
     # grid with duplicate points and on a complex that empties out below
-    # max_dim, with parents taken in one block and in blocks of three so
-    # that facet lookups cross block boundaries
+    # max_dim, with siblings joined in one block, in blocks of about three
+    # simplices so that facet lookups cross block boundaries, and one
+    # simplex per block
     rng = np.random.default_rng(41)
     cases = []
     for rule in (PAPER_2EPS, DIAMETER_EPS):
@@ -197,11 +198,11 @@ def test_boundary_matrix_matches_dict_oracle(monkeypatch):
     # one triangle and a path of three far points: dimensions 3 and 4 are empty
     sparse = PointCloud([[0, 0], [1, 0], [0.5, 0.8], [5, 0], [6, 0], [7, 0]])
     cases.append((sparse, 1.0, 4, DIAMETER_EPS))
-    whole = phom.vr._MASK_CELLS
+    whole = phom.vr._BLOCK_PAIRS
     for cloud, eps, max_dim, rule in cases:
         dm = distance_matrix(cloud)
-        for cells in (whole, 3 * dm.n):
-            monkeypatch.setattr(phom.vr, "_MASK_CELLS", cells)
+        for pairs in (whole, 3 * dm.n, 1):
+            monkeypatch.setattr(phom.vr, "_BLOCK_PAIRS", pairs)
             f = build_vr(dm, eps, max_dim, edge_rule=rule)
             if cloud is sparse:
                 assert f.counts_by_dim() == {0: 6, 1: 5, 2: 1}

@@ -328,8 +328,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     many.write_text("".join(f"{i}\n" for i in range(33_000)))
     assert run_cli("vr", str(many), "--eps", "1", "--max-dim", "1") == 2
     assert "budget" in capsys.readouterr().err
-    # a scale, threshold or parameter that is not a finite number, and a
-    # repeated dimension: exit 1
+    # a budget that is not positive, a scale, threshold or parameter that
+    # is not a finite number, and a repeated dimension: exit 1
     bc = tmp_path / "bc.csv"
     bc.write_text("dim,birth,death\n0,0,inf\n0,0,1\n1,0.2,0.5\n")
     cfg = tmp_path / "inf.cfg"
@@ -338,6 +338,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe\x00bad\n")
     refused = [
+        ("vr", str(pts), "--eps", "1", "--max-dim", "2", "--max-simplices", "0"),
+        ("vr", str(pts), "--eps", "1", "--max-dim", "2", "--max-simplices", "-5"),
         ("vr", str(pts), "--eps", "nan", "--max-dim", "2"),
         ("vr", str(pts), "--eps", "inf", "--max-dim", "2"),
         ("betti", str(pts), "--eps", "nan", "--max-k", "1"),

@@ -80,19 +80,39 @@ def test_build_vr_order_and_births_bit_for_bit():
 
 
 def test_build_vr_budget_is_exact(monkeypatch):
-    # the count is checked block by block before rows are materialized:
-    # a budget equal to the simplex count passes and one less is refused,
-    # whether a dimension is expanded in one block or in many
+    # the count is checked block by block before facets are made: a
+    # budget equal to the simplex count passes and one less is refused,
+    # whether a dimension is grown in one block, in many, or one simplex
+    # per block
     rng = np.random.default_rng(10)
     dm = distance_matrix(PointCloud(rng.normal(size=(30, 2))))
     whole = build_vr(dm, 1.2, 4)
     total = len(whole)
-    for cells in (phom.vr._MASK_CELLS, 3 * dm.n):
-        monkeypatch.setattr(phom.vr, "_MASK_CELLS", cells)
+    for pairs in (phom.vr._BLOCK_PAIRS, 3 * dm.n, 1):
+        monkeypatch.setattr(phom.vr, "_BLOCK_PAIRS", pairs)
         f = build_vr(dm, 1.2, 4, max_simplices=total)
         assert simplices(f) == simplices(whole)
         with pytest.raises(ResourceError):
             build_vr(dm, 1.2, 4, max_simplices=total - 1)
+
+
+def test_build_vr_hub_budget_counts_simplices(monkeypatch):
+    # a centre with five points on a unit circle around it, at a scale
+    # that admits the spokes but no chord (2 sin 36 deg = 1.18): the spokes
+    # are siblings, so dimension 2 has C(5, 2) = 10 candidate pairs and no
+    # triangle, and the budget counts the 11 simplices, not the candidates
+    angles = 2 * np.pi * np.arange(5) / 5
+    pts = np.concatenate([[[0.0, 0.0]], np.stack([np.cos(angles), np.sin(angles)], 1)])
+    dm = distance_matrix(PointCloud(pts))
+    for pairs in (phom.vr._BLOCK_PAIRS, 1):
+        monkeypatch.setattr(phom.vr, "_BLOCK_PAIRS", pairs)
+        for rule, eps in ((DIAMETER_EPS, 1.1), (PAPER_2EPS, 0.55)):
+            f = build_vr(dm, eps, 2, edge_rule=rule, max_simplices=11)
+            assert f.counts_by_dim() == {0: 6, 1: 5}
+            want = brute_force_vr(pts, eps, 2, rule, entries=dm.entries)
+            assert dict(simplices(f)) == want
+            with pytest.raises(ResourceError):
+                build_vr(dm, eps, 2, edge_rule=rule, max_simplices=10)
 
 
 def test_build_vr_high_dimension_among_many_vertices():
