@@ -112,8 +112,8 @@ def _make_parser() -> _Parser:
     msd.add_argument(
         "--embed",
         choices=("eigenvalue", "frequency"),
-        default="eigenvalue",
-        help="fourth coordinate: eigenvalue of M^-1 K, or its square root",
+        default=None,
+        help="fourth coordinate: eigenvalue of M^-1 K (the default), or its square root",
     )
     msd.add_argument(
         "--write-config",
@@ -192,6 +192,10 @@ def _cmd_gen(args) -> int:
     elif args.generator == "fibsphere":
         cloud = generators.gen_fibonacci_sphere(args.n)
     else:
+        if args.write_config is not None and (args.out is not None or args.embed is not None):
+            raise InputError("--write-config writes only the config: it takes no --out or --embed")
+        if args.write_config is None and args.out is None:
+            raise InputError("gen msd needs --out (or --write-config)")
         cfg = (
             generators.read_msd_config(args.config)
             if args.config
@@ -199,12 +203,10 @@ def _cmd_gen(args) -> int:
         )
         if args.mode is not None:
             cfg = cfg.with_mode(args.mode)
-        if args.write_config:
+        if args.write_config is not None:
             generators.write_msd_config(cfg, args.write_config)
             return 0
-        if args.out is None:
-            raise InputError("gen msd needs --out (or --write-config)")
-        cloud = generators.gen_msd_manifold(cfg, embed=args.embed)
+        cloud = generators.gen_msd_manifold(cfg, embed=args.embed or "eigenvalue")
     geometry.write_point_csv(cloud, args.out)
     print(f"wrote {len(cloud)} points to {args.out}")
     return 0

@@ -13,11 +13,14 @@ Simplices that end up in no pair become infinite bars.
 
 Two shortcuts skip nearly all the work. Clearing: a simplex that died in
 a pair found one dimension down has a cocolumn that reduces to zero, so
-it is skipped. Unowned pivots, the shortcut behind Ripser's apparent
-pairs (Bauer, Ripser, 2021, sections 3-4): a cocolumn whose pivot no
-other cocolumn owns yet is already reduced, so it pairs at once with no
-column addition. The test suite checks the pairing bit for bit against
-the left-to-right reduction of the boundary matrix.
+it is masked out before its dimension's loop, as is one with no cofaces.
+Unowned pivots, the shortcut behind Ripser's apparent pairs (Bauer,
+Ripser, 2021, sections 3-4): a cocolumn whose pivot no other cocolumn owns
+yet is already reduced, so it pairs at once with no column addition. Only
+a bool array of the simplices paired so far outlives a dimension; its
+pivot map and reduced cocolumns are dropped when it ends. The test suite
+checks the pairing bit for bit against the left-to-right reduction of the
+boundary matrix.
 
 Top-dimension simplices have no cofaces in the filtration, so they are
 never reduced and nothing could kill a top-dimension cycle: its bar is an
@@ -134,26 +137,20 @@ class Pairing:
 def reduce(bm: BoundaryMatrix) -> Pairing:
     """Compute the persistence pairing of a boundary matrix by reducing its
     coboundary rows (see the module docstring)."""
-    n = bm.n_columns
     indptr, cofaces, dims = bm.indptr, bm.cofaces, bm.dims
-    first = np.full(n, -1, dtype=np.int32)
-    has_cofaces = indptr[1:] > indptr[:-1]
-    first[has_cofaces] = cofaces[indptr[:-1][has_cofaces]]
-
-    # the pairs so far, death -> birth: a pivot coface -> the simplex whose
-    # cocolumn holds it. Clearing skips every death: its cocolumn reduces to 0
-    owner: dict[int, int] = {}
-    reduced: dict[int, set] = {}  # cocolumns that differ from their original
+    paired = np.zeros(bm.n_columns, dtype=bool)  # the simplices paired so far
+    found = [np.empty((0, 2), dtype=np.int64)]
     additions = cleared = 0
     # top-dimension simplices have no cofaces, so their dimension is skipped
     for k in range(int(dims.max(initial=0))):
         members = np.flatnonzero(dims == k)[::-1]
-        for i, pivot in zip(members.tolist(), first[members].tolist()):
-            if i in owner:
-                cleared += 1
-                continue
-            if pivot < 0:
-                continue
+        # clearing: the only paired k-simplices are deaths one dimension down,
+        # whose cocolumns reduce to 0; an empty cocolumn pairs nothing
+        cleared += int(paired[members].sum())
+        members = members[~paired[members] & (indptr[members + 1] > indptr[members])]
+        owner: dict[int, int] = {}  # pivot coface -> the simplex whose cocolumn holds it
+        reduced: dict[int, set] = {}  # cocolumns that differ from their original
+        for i, pivot in zip(members.tolist(), cofaces[indptr[members]].tolist()):
             if pivot in owner:
                 col = set(cofaces[indptr[i] : indptr[i + 1]].tolist())
                 while col:
@@ -170,11 +167,12 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
                     continue
                 reduced[i] = col
             owner[pivot] = i
-    pairs = np.array([list(owner.values()), list(owner)], dtype=np.int64).T
-    pairs = pairs[np.argsort(pairs[:, 0])]
-    paired = np.zeros(n, dtype=bool)
-    paired[pairs] = True
-    return Pairing(pairs, np.flatnonzero(~paired), additions, cleared)
+        births = np.fromiter(owner.values(), np.int64, len(owner))
+        pairs = np.column_stack([births, np.fromiter(owner, np.int64, len(owner))])
+        paired[pairs] = True
+        found.append(pairs)
+    pairs = np.concatenate(found)
+    return Pairing(pairs[np.argsort(pairs[:, 0])], np.flatnonzero(~paired), additions, cleared)
 
 
 def intervals(

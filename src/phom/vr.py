@@ -41,11 +41,11 @@ DIAMETER_EPS = "diameter-eps"
 EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 
 # Budget guard: refuse to enumerate complexes whose run would not fit in
-# memory. The estimate is the tracemalloc peak of a whole persist or betti
-# run per simplex: at most 172.8 B on the reference complexes (k2=1e4
-# mode 3; msd2 149.1 B, lat-lon 116.1 B), rounded up to a multiple of 32.
-# reduce sets it on each of them; build_vr peaks at 67-73 B per simplex.
-# The default cap is ~44.7M simplices against 8 GiB.
+# memory. A whole persist or betti run peaks (tracemalloc) at 109-122 B per
+# simplex on the reference complexes, highest on k2=5000 mode 3, in the
+# boundary matrix or in reduce; build_vr peaks at 67-73 B. 192 is kept over
+# a rounded-up 128, which would raise the default cap (~44.7M simplices
+# against 8 GiB) while a cap above the host's memory is an open question.
 ESTIMATED_BYTES_PER_SIMPLEX = 192
 
 # build_vr joins siblings for a block of whole simplices at a time, at

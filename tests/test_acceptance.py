@@ -298,21 +298,45 @@ def test_budget_estimate_covers_peak_memory(msd_clouds):
     # the reference runs; the budget's per-simplex estimate must cover it
     tracemalloc.start()
     try:
-        dm = phom.distance_matrix(msd_clouds[(5000.0, 2)])
-        f = phom.build_vr(dm, 0.32, 4, edge_rule=DIAMETER_EPS)
-        phom.betti_numbers(f, 0.32, 3)
+        dm = phom.distance_matrix(msd_clouds[(5000.0, 3)])
+        f = phom.build_vr(dm, 0.30, 4, edge_rule=DIAMETER_EPS)
+        phom.betti_numbers(f, 0.30, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     per_simplex = peak / len(f)
     limit = phom.vr.ESTIMATED_BYTES_PER_SIMPLEX
     say(
-        f"[budget] k2=5000 mode 2: peak {per_simplex:.0f} B per simplex over "
+        f"[budget] k2=5000 mode 3: peak {per_simplex:.0f} B per simplex over "
         f"{len(f)} simplices (estimate {limit} B): "
         + ("PASS" if per_simplex <= limit else "FAIL")
     )
     assert len(f) >= 50_000
     assert per_simplex <= limit
+
+
+def test_reduce_peak_memory(msd_clouds):
+    # reduce keeps only a bool array across dimensions and drops each
+    # dimension's pivot map when it ends: its peak above the boundary
+    # matrix is about 59 B per simplex on this complex, against 117 B
+    # when one map held the pairs of every dimension
+    dm = phom.distance_matrix(msd_clouds[(10000.0, 3)])
+    bm = phom.build_boundary_matrix(phom.build_vr(dm, 0.31, 4, edge_rule=DIAMETER_EPS))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        phom.reduce(bm)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    per_simplex = peak / bm.n_columns
+    say(
+        f"[budget] k2=1e4 mode 3: reduce peaks {per_simplex:.1f} B per simplex "
+        f"above its input over {bm.n_columns} simplices (limit 80 B): "
+        + ("PASS" if per_simplex <= 80 else "FAIL")
+    )
+    assert bm.n_columns == 93917
+    assert per_simplex <= 80
 
 
 def test_build_vr_kept_memory(msd_clouds):

@@ -89,6 +89,9 @@ def test_reduce_strategies_agree():
         pairs, unpaired = left_to_right_pairing(bm.columns)
         assert pairing.pairs.tolist() == [list(p) for p in pairs]
         assert pairing.unpaired.tolist() == list(unpaired)
+        # every death below the top is met again one dimension up, and cleared
+        deaths_below_top = np.count_nonzero(bm.dims[pairing.pairs[:, 1]] < f.max_dim)
+        assert pairing.cleared_columns == deaths_below_top
     assert bm.dims[pairing.unpaired].tolist() == [0, 3]
 
 

@@ -93,18 +93,21 @@ def test_cli_gen_sphere_and_msd(tmp_path):
     assert run_cli("gen", "sphere", "--nu", "22", "--nv", "11", "--out", str(s)) == 0
     assert len(s.read_text().splitlines()) == 200
     m = tmp_path / "m.csv"
-    assert run_cli("gen", "msd", "--mode", "2", "--out", str(m)) == 0
+    with pytest.warns(UserWarning, match="negative effective stiffness"):
+        assert run_cli("gen", "msd", "--mode", "2", "--out", str(m)) == 0
     rows = m.read_text().splitlines()
     assert len(rows) == 252 and len(rows[0].split(",")) == 4
 
 
 def test_cli_gen_msd_write_config(tmp_path):
     cfg = tmp_path / "msd.cfg"
-    assert run_cli("gen", "msd", "--write-config", str(cfg)) == 0
+    with pytest.warns(UserWarning, match="negative effective stiffness"):
+        assert run_cli("gen", "msd", "--write-config", str(cfg)) == 0
     text = cfg.read_text()
     assert "k2 = 10000.0" in text and "t_divs = 7" in text
     out = tmp_path / "m.csv"
-    assert run_cli("gen", "msd", "--config", str(cfg), "--out", str(out)) == 0
+    with pytest.warns(UserWarning, match="negative effective stiffness"):
+        assert run_cli("gen", "msd", "--config", str(cfg), "--out", str(out)) == 0
     assert len(out.read_text().splitlines()) == 252
 
 
@@ -337,6 +340,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a file that is not UTF-8 text
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe\x00bad\n")
+    written = tmp_path / "w.cfg"
     refused = [
         ("vr", str(pts), "--eps", "1", "--max-dim", "2", "--max-simplices", "0"),
         ("vr", str(pts), "--eps", "1", "--max-dim", "2", "--max-simplices", "-5"),
@@ -355,11 +359,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("compare", str(bc), str(bad)),
         ("plot", "barcode", str(bad), "--out", str(tmp_path / "bad.svg")),
         ("gen", "msd", "--config", str(bad), "--out", str(tmp_path / "o.csv")),
+        # --write-config writes the config and exits: no points to put out
+        # or embed, and it refuses before it builds or writes anything
+        ("gen", "msd", "--write-config", str(written), "--out", str(tmp_path / "x.csv")),
+        ("gen", "msd", "--write-config", str(written), "--embed", "frequency"),
     ]
     for argv in refused:
         assert run_cli(*argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
+    assert not written.exists() and not (tmp_path / "x.csv").exists()
 
 
 def test_cli_determinism(tmp_path):
