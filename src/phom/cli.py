@@ -48,13 +48,7 @@ def _is_barcode_file(path) -> bool:
 
 def _build(args, cloud: geometry.PointCloud) -> vr.Filtration:
     dm = geometry.distance_matrix(cloud)
-    return vr.build_vr(
-        dm,
-        eps_max=args.eps,
-        max_dim=args.max_dim,
-        edge_rule=args.edge_rule,
-        max_simplices=args.max_simplices,
-    )
+    return vr.build_vr(dm, args.eps, args.max_dim, args.edge_rule, args.max_simplices)
 
 
 def _add_complex_flags(p):

@@ -3,7 +3,8 @@
 Three families: a latitude/longitude sphere sampling, a Fibonacci-spiral
 sphere sampling, and the 4D manifold swept out by a natural frequency of a
 3DOF mass-spring chain as temperature, thermal-expansion and damage
-parameters vary over a grid.
+parameters vary over a grid. Each refuses with ResourceError a cloud
+that would not fit in the memory budget, before allocating it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .geometry import PointCloud
+from .geometry import PointCloud, check_budget
 
 __all__ = [
     "MsdConfig",
@@ -30,6 +31,11 @@ __all__ = [
 ]
 
 GOLDEN_ANGLE = math.pi * (1.0 + math.sqrt(5.0))
+
+# Budget guard: generating peaks (tracemalloc) at 83 B per point on the
+# Fibonacci sphere and 176-184 B on the lat-lon sphere at 10^6 points, and
+# at 198 B on the mass-spring grid at 10^4; one rounded-up cost covers all.
+_BYTES_PER_POINT = 256
 
 
 def gen_sphere_latlon(
@@ -56,6 +62,7 @@ def gen_sphere_latlon(
         raise InputError(f"grid too small: need n_u >= 3, n_v >= 2, got ({n_u}, {n_v})")
     if form not in ("standard", "y-cos"):
         raise InputError(f"unknown sphere form {form!r}")
+    check_budget(_BYTES_PER_POINT * n_u * n_v, f"a {n_u} x {n_v} grid")
     if include_u_endpoint:
         us = np.linspace(0.0, 2.0 * math.pi, n_u)
     else:
@@ -88,6 +95,7 @@ def gen_fibonacci_sphere(n_p: int) -> PointCloud:
     """
     if n_p < 1:
         raise InputError(f"need at least one point, got {n_p}")
+    check_budget(_BYTES_PER_POINT * n_p, f"a cloud of {n_p} points")
     j = np.arange(n_p, dtype=np.float64)
     theta = j * GOLDEN_ANGLE
     cphi = 1.0 - (2.0 * j + 1.0) / n_p
@@ -309,6 +317,8 @@ def gen_msd_manifold(cfg: MsdConfig, embed: str = "eigenvalue") -> PointCloud:
     """
     if embed not in ("eigenvalue", "frequency"):
         raise InputError(f"unknown embed choice {embed!r}")
+    n = cfg.t_divs * cfg.alpha_divs * cfg.d_divs
+    check_budget(_BYTES_PER_POINT * n, f"a grid of {n} nodes")
     allow = embed == "eigenvalue"
     mode = cfg.mode_index - 1
     rows = []

@@ -23,6 +23,15 @@ __all__ = [
 # so an oversized input fails with ResourceError, not the kernel's OOM kill.
 DEFAULT_MEMORY_BUDGET_BYTES = 8 * 1024**3
 
+
+def check_budget(nbytes: int, what: str) -> None:
+    if nbytes > DEFAULT_MEMORY_BUDGET_BYTES:
+        raise ResourceError(
+            f"{what} needs {nbytes} bytes, "
+            f"over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte memory budget"
+        )
+
+
 # distance_matrix fills this many rows at a time, so its coordinate
 # differences take block x n x d floats rather than n x n x d.
 _BLOCK_ROWS = 256
@@ -112,11 +121,7 @@ def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
     """
     x = cloud.coords
     n = len(cloud)
-    if 8 * n * n > DEFAULT_MEMORY_BUDGET_BYTES:
-        raise ResourceError(
-            f"{n} points need a {8 * n * n}-byte distance matrix, "
-            f"over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte memory budget"
-        )
+    check_budget(8 * n * n, f"the distance matrix of {n} points")
     d = np.empty((n, n), dtype=np.float64)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)

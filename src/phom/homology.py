@@ -1,11 +1,11 @@
-"""Boundary operators over GF(2), stored as coboundary rows.
+"""Boundary operators over GF(2), stored once, as the filtration's facets.
 
-Over GF(2) a simplex's coboundary is just the set of its cofaces'
-filtration indices. The operator is stored once, as the compressed sparse
-rows that the reduction in ``persistence`` reads: row i is
-cofaces[indptr[i]:indptr[i + 1]], ascending, one int32 per nonzero. The
-filtration already holds every simplex's facets, so the rows are the
-transpose of those facet arrays, taken one dimension at a time.
+Over GF(2) a simplex's boundary is just the set of its facets and its
+coboundary the set of its cofaces. A BoundaryMatrix shares the
+filtration's facet arrays and stores no array of its own. The reduction
+in ``persistence`` reads coboundary rows, which ``coboundary(k)`` makes
+for one dimension at a time, as the transpose of the (k + 1)-simplices'
+facets, so that only the dimension being reduced has rows in memory.
 """
 
 from __future__ import annotations
@@ -24,14 +24,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Sparse GF(2) boundary operator in filtration order, by rows.
+    """Sparse GF(2) boundary operator in filtration order, made of the
+    filtration's own arrays (see Filtration for the facets' layout)."""
 
-    Row i lists the filtration indices of simplex i's cofaces, sorted
-    ascending; all of them follow i. Top-dimension rows are empty.
-    """
-
-    indptr: np.ndarray  # int64, n_columns + 1 offsets into cofaces
-    cofaces: np.ndarray  # int32 coface indices, row after row
+    facets: tuple  # facets[k]: int32 array of shape (n_k, k + 1)
     dims: np.ndarray  # int8 simplex dimension per simplex
     births: np.ndarray  # float64 birth scale per simplex
 
@@ -42,45 +38,43 @@ class BoundaryMatrix:
     @property
     def columns(self) -> tuple:
         """Every boundary column, the facets of one simplex ascending, as a
-        tuple of ints: a transpose built on demand for inspection and
-        tests; the engine reads indptr and cofaces."""
-        # a stable sort keeps each column's facets in ascending row order
-        order = np.argsort(self.cofaces, kind="stable")
-        flat = np.repeat(np.arange(self.n_columns), np.diff(self.indptr))[order].tolist()
-        bounds = np.cumsum(np.bincount(self.cofaces, minlength=self.n_columns)).tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds))
+        tuple of ints: built on demand for inspection and tests; the
+        engine reads coboundary rows."""
+        columns = [()] * self.n_columns
+        for k in range(1, len(self.facets)):
+            below = np.flatnonzero(self.dims == k - 1)
+            rows = np.sort(below[self.facets[k]], axis=1).tolist()
+            for j, row in zip(np.flatnonzero(self.dims == k).tolist(), rows):
+                columns[j] = tuple(row)
+        return tuple(columns)
+
+    def coboundary(self, k: int) -> tuple:
+        """Coboundary rows of the k-simplices, k < max_dim: (here, indptr,
+        cofaces). here[j] is the j-th k-simplex's filtration index, and
+        cofaces[indptr[j]:indptr[j + 1]] the filtration indices of its
+        cofaces, ascending, as int32; indptr is int64."""
+        here = np.flatnonzero(self.dims == k)
+        up = np.flatnonzero(self.dims == k + 1).astype(np.int32)
+        # one int64 key per (facet, coface) pair, facet * len(up) + coface
+        # position: sorting the keys groups the pairs by facet, cofaces ascending
+        keys = self.facets[k + 1] * np.int64(len(up))
+        keys += np.arange(len(up))[:, None]
+        keys = keys.ravel()
+        keys.sort()
+        indptr = np.searchsorted(keys, np.arange(len(here) + 1) * len(up))
+        keys %= len(up)
+        return here, indptr, up[keys]
 
 
 def build_boundary_matrix(f: Filtration) -> BoundaryMatrix:
-    """Assemble the coboundary rows of every simplex of a filtration.
+    """The boundary operator of a filtration, which shares its arrays.
 
     A facet index outside the dimension below means the filtration is not
     face-closed, which build_vr can never produce; that is an internal
     invariant violation, not bad input, hence RuntimeError.
     """
-    dims = f.dims
-    counts = np.zeros(len(dims), dtype=np.int64)
-    by_dim = []  # by_dim[k]: the cofaces of the k-simplices, simplex by simplex
     for k in range(1, len(f.facets)):
-        here = np.flatnonzero(dims == k).astype(np.int32)
         below = len(f.facets[k - 1])
-        keys = f.facets[k].astype(np.int64)
-        if len(keys) and not 0 <= keys.min() <= keys.max() < below:
+        if f.facets[k].size and not 0 <= f.facets[k].min() <= f.facets[k].max() < below:
             raise RuntimeError(f"face closure violated: {k}-simplex facet outside [0, {below})")
-        counts[dims == k - 1] = np.bincount(keys.ravel(), minlength=below)
-        # one int64 key per (facet, coface) pair, facet * len(here) + coface
-        # row: sorting the keys groups the pairs by facet, cofaces ascending
-        keys *= len(here)
-        keys += np.arange(len(here))[:, None]
-        keys = keys.ravel()
-        keys.sort()
-        keys %= len(here)
-        by_dim.append(here[keys])
-    indptr = np.zeros(len(dims) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    cofaces = np.empty(int(indptr[-1]), dtype=np.int32)
-    for k, rows in enumerate(by_dim):
-        # the k-simplices' rows, in filtration order, fill exactly the slots
-        # of the k-simplices' rows
-        cofaces[np.repeat(dims == k, counts)] = rows
-    return BoundaryMatrix(indptr=indptr, cofaces=cofaces, dims=dims, births=f.births)
+    return BoundaryMatrix(facets=f.facets, dims=f.dims, births=f.births)

@@ -1,26 +1,26 @@
 """Persistence pairing by GF(2) coboundary reduction, barcodes, Betti numbers.
 
-The pairing comes from persistent cohomology. The cocolumns are the
-coboundary rows that ``homology`` builds, each simplex's cofaces in
-ascending filtration order. They are reduced one dimension at a time from
-0 upward, each dimension in reverse filtration order, with a cocolumn's
-oldest coface (smallest filtration index) as its pivot. A reduced
-cocolumn of simplex i with pivot j pairs (i, j): the feature born with
-simplex i dies when simplex j enters. These are exactly the pairs the
-textbook reduction of the boundary matrix finds (de Silva, Morozov &
-Vejdemo-Johansson, Dualities in persistent (co)homology, 2011).
-Simplices that end up in no pair become infinite bars.
+The pairing comes from persistent cohomology. The cocolumns are
+coboundary rows, each simplex's cofaces in ascending filtration order,
+which ``BoundaryMatrix.coboundary`` makes for one dimension at a time.
+Dimensions are reduced from 0 upward, each in reverse filtration order,
+with a cocolumn's oldest coface (smallest filtration index) as its pivot.
+A reduced cocolumn of simplex i with pivot j pairs (i, j): the feature
+born with simplex i dies when simplex j enters. These are exactly the
+pairs the textbook reduction of the boundary matrix finds (de Silva,
+Morozov & Vejdemo-Johansson, Dualities in persistent (co)homology,
+2011). Simplices that end up in no pair become infinite bars.
 
 Two shortcuts skip nearly all the work. Clearing: a simplex that died in
 a pair found one dimension down has a cocolumn that reduces to zero, so
 it is masked out before its dimension's loop, as is one with no cofaces.
 Unowned pivots, the shortcut behind Ripser's apparent pairs (Bauer,
-Ripser, 2021, sections 3-4): a cocolumn whose pivot no other cocolumn owns
-yet is already reduced, so it pairs at once with no column addition. Only
-a bool array of the simplices paired so far outlives a dimension; its
-pivot map and reduced cocolumns are dropped when it ends. The test suite
-checks the pairing bit for bit against the left-to-right reduction of the
-boundary matrix.
+Ripser, 2021, sections 3-4): a cocolumn whose pivot no other cocolumn
+owns yet is already reduced, so it pairs at once with no column
+addition. Only a bool array of the simplices paired so far outlives a
+dimension; its rows, pivot map and reduced cocolumns go when it ends.
+The test suite checks the pairing bit for bit against the left-to-right
+reduction of the boundary matrix.
 
 Top-dimension simplices have no cofaces in the filtration, so they are
 never reduced and nothing could kill a top-dimension cycle: its bar is an
@@ -137,17 +137,17 @@ class Pairing:
 def reduce(bm: BoundaryMatrix) -> Pairing:
     """Compute the persistence pairing of a boundary matrix by reducing its
     coboundary rows (see the module docstring)."""
-    indptr, cofaces, dims = bm.indptr, bm.cofaces, bm.dims
     paired = np.zeros(bm.n_columns, dtype=bool)  # the simplices paired so far
     found = [np.empty((0, 2), dtype=np.int64)]
     additions = cleared = 0
     # top-dimension simplices have no cofaces, so their dimension is skipped
-    for k in range(int(dims.max(initial=0))):
-        members = np.flatnonzero(dims == k)[::-1]
+    for k in range(int(bm.dims.max(initial=0))):
+        # the dimension's rows; members are positions among its simplices
+        here, indptr, cofaces = bm.coboundary(k)
         # clearing: the only paired k-simplices are deaths one dimension down,
         # whose cocolumns reduce to 0; an empty cocolumn pairs nothing
-        cleared += int(paired[members].sum())
-        members = members[~paired[members] & (indptr[members + 1] > indptr[members])]
+        cleared += int(paired[here].sum())
+        members = np.flatnonzero(~paired[here] & (np.diff(indptr) > 0))[::-1]
         owner: dict[int, int] = {}  # pivot coface -> the simplex whose cocolumn holds it
         reduced: dict[int, set] = {}  # cocolumns that differ from their original
         for i, pivot in zip(members.tolist(), cofaces[indptr[members]].tolist()):
@@ -167,7 +167,7 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
                     continue
                 reduced[i] = col
             owner[pivot] = i
-        births = np.fromiter(owner.values(), np.int64, len(owner))
+        births = here[np.fromiter(owner.values(), np.int64, len(owner))]
         pairs = np.column_stack([births, np.fromiter(owner, np.int64, len(owner))])
         paired[pairs] = True
         found.append(pairs)

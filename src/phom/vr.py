@@ -41,11 +41,11 @@ DIAMETER_EPS = "diameter-eps"
 EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 
 # Budget guard: refuse to enumerate complexes whose run would not fit in
-# memory. A whole persist or betti run peaks (tracemalloc) at 109-122 B per
-# simplex on the reference complexes, highest on k2=5000 mode 3, in the
-# boundary matrix or in reduce; build_vr peaks at 67-73 B. 192 is kept over
-# a rounded-up 128, which would raise the default cap (~44.7M simplices
-# against 8 GiB) while a cap above the host's memory is an open question.
+# memory. A whole persist or betti run peaks (tracemalloc) at 94-111 B per
+# simplex on the reference complexes, highest on k2=5000 mode 3, in reduce
+# on each; build_vr peaks at 67-73 B. 192 is kept over a rounded-up 128,
+# which would raise the default cap (~44.7M simplices against 8 GiB) while
+# a cap above the host's memory is an open question.
 ESTIMATED_BYTES_PER_SIMPLEX = 192
 
 # build_vr joins siblings for a block of whole simplices at a time, at

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InputError, ResourceError
-from .geometry import DEFAULT_MEMORY_BUDGET_BYTES
+from .errors import InputError
+from .geometry import check_budget
 from .persistence import Barcode
 
 __all__ = [
@@ -57,11 +57,7 @@ class MatchingProblem:
     def __post_init__(self):
         left, right, p = self.left, self.right, self.p
         n, m = len(left), len(right)
-        if 8 * n * m > DEFAULT_MEMORY_BUDGET_BYTES:
-            raise ResourceError(
-                f"matching {n} against {m} bars needs a {8 * n * m}-byte cost matrix, "
-                f"over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte memory budget"
-            )
+        check_budget(8 * n * m, f"the cost matrix of {n} against {m} bars")
         dims = np.union1d(left.dims, right.dims)
         if len(dims) > 1:
             raise InputError(f"intervals span several dimensions: {dims.tolist()}")

@@ -315,11 +315,35 @@ def test_budget_estimate_covers_peak_memory(msd_clouds):
     assert per_simplex <= limit
 
 
+def test_boundary_matrix_stores_nothing(msd_clouds):
+    # the boundary matrix shares the filtration's facet arrays, and
+    # coboundary rows are made only while reduce needs them: it keeps no
+    # array of its own, against 25 B per simplex when it held every row
+    dm = phom.distance_matrix(msd_clouds[(10000.0, 3)])
+    f = phom.build_vr(dm, 0.31, 4, edge_rule=DIAMETER_EPS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bm = phom.build_boundary_matrix(f)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    say(
+        f"[budget] k2=1e4 mode 3: build_boundary_matrix keeps {kept} B "
+        f"over {bm.n_columns} simplices (limit 1024 B): "
+        + ("PASS" if kept <= 1024 else "FAIL")
+    )
+    assert bm.n_columns == 93917
+    assert kept <= 1024
+
+
 def test_reduce_peak_memory(msd_clouds):
-    # reduce keeps only a bool array across dimensions and drops each
-    # dimension's pivot map when it ends: its peak above the boundary
-    # matrix is about 59 B per simplex on this complex, against 117 B
-    # when one map held the pairs of every dimension
+    # reduce makes one dimension's coboundary rows at a time, keeps only a
+    # bool array across dimensions and drops each dimension's rows and
+    # pivot map when it ends. Its input holds no rows, so its peak covers
+    # the transpose too: about 74 B per simplex on this complex, against
+    # 117 B when one map held the pairs of every dimension and the rows
+    # of every dimension were built beforehand
     dm = phom.distance_matrix(msd_clouds[(10000.0, 3)])
     bm = phom.build_boundary_matrix(phom.build_vr(dm, 0.31, 4, edge_rule=DIAMETER_EPS))
     tracemalloc.start()

@@ -181,12 +181,13 @@ def test_boundary_matrix_panics_on_missing_face():
 
 def test_boundary_matrix_matches_dict_oracle(monkeypatch):
     # build_vr records facets as it grows cliques; the oracle finds them by
-    # a dictionary over vertex tuples. Coboundary rows, each ascending,
-    # must be the transpose of the oracle's columns, on random clouds, on a
-    # grid with duplicate points and on a complex that empties out below
-    # max_dim, with siblings joined in one block, in blocks of about three
-    # simplices so that facet lookups cross block boundaries, and one
-    # simplex per block
+    # a dictionary over vertex tuples. The boundary matrix shares the
+    # filtration's facet arrays, and each dimension's coboundary rows, each
+    # ascending, must be the transpose of the oracle's columns, on random
+    # clouds, on a grid with duplicate points and on a complex that empties
+    # out below max_dim, with siblings joined in one block, in blocks of
+    # about three simplices so that facet lookups cross block boundaries,
+    # and one simplex per block
     rng = np.random.default_rng(41)
     cases = []
     for rule in (PAPER_2EPS, DIAMETER_EPS):
@@ -213,10 +214,15 @@ def test_boundary_matrix_matches_dict_oracle(monkeypatch):
             for j, col in enumerate(columns):
                 for i in col:
                     rows[i].append(j)
-            assert bm.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
-            got = [bm.cofaces[a:b].tolist() for a, b in zip(bm.indptr[:-1], bm.indptr[1:])]
-            assert all(r == sorted(r) for r in got)
-            assert got == rows
+            assert all(bm.facets[k] is f.facets[k] for k in range(max_dim + 1))
+            for k in range(max_dim):
+                here, indptr, cofaces = bm.coboundary(k)
+                assert here.tolist() == [i for i, (s, _) in enumerate(pairs) if len(s) == k + 1]
+                assert indptr.dtype == np.int64 and cofaces.dtype == np.int32
+                assert indptr.tolist() == np.cumsum([0] + [len(rows[i]) for i in here]).tolist()
+                got = [cofaces[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+                assert all(r == sorted(r) for r in got)
+                assert got == [rows[i] for i in here]
             assert bm.columns == columns
             assert bm.births.tolist() == [b for _, b in pairs]
             assert bm.dims.tolist() == [len(s) - 1 for s, _ in pairs]

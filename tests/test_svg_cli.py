@@ -331,6 +331,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     many.write_text("".join(f"{i}\n" for i in range(33_000)))
     assert run_cli("vr", str(many), "--eps", "1", "--max-dim", "1") == 2
     assert "budget" in capsys.readouterr().err
+    # a generated cloud over the memory budget: exit 2, before allocating
+    # it, for a config whose ranges keep the stiffness positive (no warning)
+    huge = tmp_path / "huge.cfg"
+    huge.write_text("t_divs = 1000000000000\nalpha_max = 0.001\nd_max = 0.5\n")
+    oversized = [
+        ("gen", "fibsphere", "--n", "1000000000000", "--out", str(tmp_path / "f.csv")),
+        ("gen", "sphere", "--nu", "1000000000000", "--nv", "2", "--out", str(tmp_path / "s.csv")),
+        ("gen", "msd", "--config", str(huge), "--out", str(tmp_path / "m.csv")),
+    ]
+    for argv in oversized:
+        assert run_cli(*argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert "budget" in captured.err, argv
     # a budget that is not positive, a scale, threshold or parameter that
     # is not a finite number, and a repeated dimension: exit 1
     bc = tmp_path / "bc.csv"
