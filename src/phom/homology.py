@@ -4,8 +4,8 @@ Over GF(2) a simplex's boundary is just the set of its facets and its
 coboundary the set of its cofaces. A BoundaryMatrix shares the
 filtration's facet arrays and stores no array of its own. The reduction
 in ``persistence`` reads coboundary rows, which ``coboundary(k)`` makes
-for one dimension at a time, as the transpose of the (k + 1)-simplices'
-facets, so that only the dimension being reduced has rows in memory.
+when dimension k is reduced, and only then: the transpose of the
+(k + 1)-simplices' facets, with cofaces as positions among them.
 """
 
 from __future__ import annotations
@@ -49,21 +49,19 @@ class BoundaryMatrix:
         return tuple(columns)
 
     def coboundary(self, k: int) -> tuple:
-        """Coboundary rows of the k-simplices, k < max_dim: (here, indptr,
-        cofaces). here[j] is the j-th k-simplex's filtration index, and
-        cofaces[indptr[j]:indptr[j + 1]] the filtration indices of its
-        cofaces, ascending, as int32; indptr is int64."""
-        here = np.flatnonzero(self.dims == k)
-        up = np.flatnonzero(self.dims == k + 1).astype(np.int32)
-        # one int64 key per (facet, coface) pair, facet * len(up) + coface
-        # position: sorting the keys groups the pairs by facet, cofaces ascending
-        keys = self.facets[k + 1] * np.int64(len(up))
-        keys += np.arange(len(up))[:, None]
+        """Coboundary rows of the k-simplices, k < max_dim: (indptr, cofaces).
+        cofaces[indptr[j]:indptr[j + 1]] are the positions among the
+        (k + 1)-simplices of the j-th k-simplex's cofaces, ascending, as
+        int32; indptr is int64."""
+        facets = self.facets[k + 1]
+        # one int64 key per (facet, coface) pair, facet << 32 | coface:
+        # sorting the keys groups the pairs by facet, cofaces ascending
+        keys = np.left_shift(facets, 32, dtype=np.int64)
+        keys |= np.arange(len(facets))[:, None]
         keys = keys.ravel()
         keys.sort()
-        indptr = np.searchsorted(keys, np.arange(len(here) + 1) * len(up))
-        keys %= len(up)
-        return here, indptr, up[keys]
+        indptr = np.searchsorted(keys, np.arange(len(self.facets[k]) + 1) << 32)
+        return indptr, keys.astype(np.int32)  # the low word: the coface
 
 
 def build_boundary_matrix(f: Filtration) -> BoundaryMatrix:

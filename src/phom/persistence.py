@@ -14,13 +14,15 @@ Morozov & Vejdemo-Johansson, Dualities in persistent (co)homology,
 Two shortcuts skip nearly all the work. Clearing: a simplex that died in
 a pair found one dimension down has a cocolumn that reduces to zero, so
 it is masked out before its dimension's loop, as is one with no cofaces.
-Unowned pivots, the shortcut behind Ripser's apparent pairs (Bauer,
-Ripser, 2021, sections 3-4): a cocolumn whose pivot no other cocolumn
-owns yet is already reduced, so it pairs at once with no column
-addition. Only a bool array of the simplices paired so far outlives a
-dimension; its rows, pivot map and reduced cocolumns go when it ends.
-The test suite checks the pairing bit for bit against the left-to-right
-reduction of the boundary matrix.
+Apparent pairs (Bauer, Ripser, 2021, section 3): (sigma, tau) where tau
+is sigma's oldest coface and sigma tau's youngest facet. Array operations
+find them all before the loop, which visits only the other cocolumns,
+about 3% of them on the reference complexes. No cocolumn reduced before
+sigma's turn holds tau, as each sums coboundaries of simplices younger
+than every facet of tau, so entering the pair early changes nothing.
+Only a bool array of the simplices paired so far outlives a dimension;
+its rows, owners and reduced cocolumns go when it ends. The test suite
+checks the pairing bit for bit against the left-to-right reduction.
 
 Top-dimension simplices have no cofaces in the filtration, so they are
 never reduced and nothing could kill a top-dimension cycle: its bar is an
@@ -124,14 +126,15 @@ class Pairing:
     (n, 2), ascending by birth index, and the int64 indices left unpaired,
     ascending. Together they exactly partition the column set.
 
-    column_additions and cleared_columns count the reduction's work; they
-    depend on the schedule, not on the pairing.
+    column_additions, cleared_columns and apparent_pairs count the
+    reduction's work; they depend on the schedule, not on the pairing.
     """
 
     pairs: np.ndarray
     unpaired: np.ndarray
     column_additions: int = 0
     cleared_columns: int = 0
+    apparent_pairs: int = 0
 
 
 def reduce(bm: BoundaryMatrix) -> Pairing:
@@ -139,24 +142,36 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
     coboundary rows (see the module docstring)."""
     paired = np.zeros(bm.n_columns, dtype=bool)  # the simplices paired so far
     found = [np.empty((0, 2), dtype=np.int64)]
-    additions = cleared = 0
+    additions = cleared = apparent_pairs = 0
     # top-dimension simplices have no cofaces, so their dimension is skipped
     for k in range(int(bm.dims.max(initial=0))):
-        # the dimension's rows; members are positions among its simplices
-        here, indptr, cofaces = bm.coboundary(k)
+        # the dimension's rows; members and owners are positions among the
+        # k-simplices, pivots and cofaces among the (k + 1)-simplices
+        here, up = np.flatnonzero(bm.dims == k), np.flatnonzero(bm.dims == k + 1)
+        indptr, cofaces = bm.coboundary(k)
         # clearing: the only paired k-simplices are deaths one dimension down,
         # whose cocolumns reduce to 0; an empty cocolumn pairs nothing
         cleared += int(paired[here].sum())
-        members = np.flatnonzero(~paired[here] & (np.diff(indptr) > 0))[::-1]
-        owner: dict[int, int] = {}  # pivot coface -> the simplex whose cocolumn holds it
+        members = np.flatnonzero(~paired[here] & (np.diff(indptr) > 0))
+        pivots = cofaces[indptr[members]]
+        # apparent pairs: sigma's pivot tau, whose youngest facet is sigma
+        apparent = bm.facets[k + 1][:, 0].copy()  # each tau's youngest facet
+        for column in bm.facets[k + 1].T[1:]:
+            np.maximum(apparent, column, out=apparent)
+        rest = apparent[pivots] != members
+        apparent.fill(-1)  # from here on, the sigma of tau's apparent pair, or -1
+        apparent[pivots[~rest]] = members[~rest]
+        apparent_pairs += int(np.count_nonzero(~rest))
+        members, pivots = members[rest][::-1], pivots[rest][::-1]
+        owner: dict[int, int] = {}  # the loop's own pivots -> the cocolumn holding each
         reduced: dict[int, set] = {}  # cocolumns that differ from their original
-        for i, pivot in zip(members.tolist(), cofaces[indptr[members]].tolist()):
-            if pivot in owner:
+        for i, pivot in zip(members.tolist(), pivots.tolist()):
+            if pivot in owner or apparent.item(pivot) >= 0:
                 col = set(cofaces[indptr[i] : indptr[i + 1]].tolist())
                 while col:
                     pivot = min(col)
-                    o = owner.get(pivot)
-                    if o is None:
+                    o = owner.get(pivot, apparent.item(pivot))
+                    if o < 0:
                         break
                     other = reduced.get(o)
                     col.symmetric_difference_update(
@@ -167,12 +182,15 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
                     continue
                 reduced[i] = col
             owner[pivot] = i
-        births = here[np.fromiter(owner.values(), np.int64, len(owner))]
-        pairs = np.column_stack([births, np.fromiter(owner, np.int64, len(owner))])
+        apparent[list(owner)] = list(owner.values())  # now every pivot's owner
+        deaths = np.flatnonzero(apparent >= 0)
+        pairs = np.column_stack([here[apparent[deaths]], up[deaths]])
         paired[pairs] = True
         found.append(pairs)
     pairs = np.concatenate(found)
-    return Pairing(pairs[np.argsort(pairs[:, 0])], np.flatnonzero(~paired), additions, cleared)
+    return Pairing(
+        pairs[np.argsort(pairs[:, 0])], np.flatnonzero(~paired), additions, cleared, apparent_pairs
+    )
 
 
 def intervals(

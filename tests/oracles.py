@@ -354,6 +354,18 @@ def euler_characteristic_from_counts(counts_by_dim):
     return sum((-1) ** k * n for k, n in counts_by_dim.items())
 
 
+def apparent_pairs(columns):
+    """Apparent pairs of a boundary matrix given as facet-index columns:
+    the set of (sigma, tau) where sigma = max(column tau), tau's youngest
+    facet, and tau is the smallest j whose column holds sigma, sigma's
+    oldest coface."""
+    oldest = {}
+    for j, column in enumerate(columns):
+        for i in column:
+            oldest.setdefault(i, j)
+    return {(max(col), j) for j, col in enumerate(columns) if col and oldest[max(col)] == j}
+
+
 def left_to_right_pairing(columns):
     """Textbook GF(2) reduction of a boundary matrix given as facet-index
     columns: each column in turn absorbs the earlier reduced column that

@@ -183,7 +183,8 @@ def test_boundary_matrix_matches_dict_oracle(monkeypatch):
     # build_vr records facets as it grows cliques; the oracle finds them by
     # a dictionary over vertex tuples. The boundary matrix shares the
     # filtration's facet arrays, and each dimension's coboundary rows, each
-    # ascending, must be the transpose of the oracle's columns, on random
+    # ascending, must be the transpose of the oracle's columns, with each
+    # coface given as its position among the (k + 1)-simplices, on random
     # clouds, on a grid with duplicate points and on a complex that empties
     # out below max_dim, with siblings joined in one block, in blocks of
     # about three simplices so that facet lookups cross block boundaries,
@@ -216,13 +217,14 @@ def test_boundary_matrix_matches_dict_oracle(monkeypatch):
                     rows[i].append(j)
             assert all(bm.facets[k] is f.facets[k] for k in range(max_dim + 1))
             for k in range(max_dim):
-                here, indptr, cofaces = bm.coboundary(k)
-                assert here.tolist() == [i for i, (s, _) in enumerate(pairs) if len(s) == k + 1]
+                indptr, cofaces = bm.coboundary(k)
+                here = [i for i, (s, _) in enumerate(pairs) if len(s) == k + 1]
+                up = [i for i, (s, _) in enumerate(pairs) if len(s) == k + 2]
                 assert indptr.dtype == np.int64 and cofaces.dtype == np.int32
                 assert indptr.tolist() == np.cumsum([0] + [len(rows[i]) for i in here]).tolist()
                 got = [cofaces[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
                 assert all(r == sorted(r) for r in got)
-                assert got == [rows[i] for i in here]
+                assert [[up[j] for j in r] for r in got] == [rows[i] for i in here]
             assert bm.columns == columns
             assert bm.births.tolist() == [b for _, b in pairs]
             assert bm.dims.tolist() == [len(s) - 1 for s, _ in pairs]

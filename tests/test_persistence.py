@@ -5,6 +5,7 @@ import pytest
 
 from phom import (
     DIAMETER_EPS,
+    PAPER_2EPS,
     Barcode,
     InputError,
     PersistenceInterval,
@@ -14,12 +15,19 @@ from phom import (
     build_vr,
     distance_matrix,
     gen_fibonacci_sphere,
+    gen_sphere_latlon,
     intervals,
     read_barcode_csv,
     reduce,
     write_barcode_csv,
 )
-from oracles import dense_betti, left_to_right_pairing, prefix_length, simplices
+from oracles import (
+    apparent_pairs,
+    dense_betti,
+    left_to_right_pairing,
+    prefix_length,
+    simplices,
+)
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -80,15 +88,27 @@ def test_reduce_strategies_agree():
     fib = gen_fibonacci_sphere(500)
     cases.append(build_vr(distance_matrix(fib), 0.25, 3, edge_rule=DIAMETER_EPS))
     assert len(cases[-1]) == 4202
+    # births tie on a grid with duplicate points and on a lattice cloud,
+    # where vertex order decides the filtration order the apparent pairs
+    # are read from
+    grid = gen_sphere_latlon(8, 5, include_u_endpoint=True, dedupe=False)
+    cases.append(build_vr(distance_matrix(grid), 0.9, 3, edge_rule=DIAMETER_EPS))
+    lattice = PointCloud(rng.integers(0, 3, size=(14, 3)).astype(float))
+    cases.append(build_vr(distance_matrix(lattice), 1.0, 3, edge_rule=PAPER_2EPS))
     # the 3-skeleton of a 4-simplex is a 3-sphere, so one tetrahedron
     # stays unpaired at the top dimension
     cases.append(make_filtration(np.eye(5), 1.0, 3))
     for f in cases:
         bm = build_boundary_matrix(f)
         pairing = reduce(bm)
-        pairs, unpaired = left_to_right_pairing(bm.columns)
+        columns = bm.columns
+        pairs, unpaired = left_to_right_pairing(columns)
         assert pairing.pairs.tolist() == [list(p) for p in pairs]
         assert pairing.unpaired.tolist() == list(unpaired)
+        # apparent pairs are persistence pairs, and reduce counts every one
+        apparent = apparent_pairs(columns)
+        assert pairing.apparent_pairs == len(apparent)
+        assert apparent <= set(pairs)
         # every death below the top is met again one dimension up, and cleared
         deaths_below_top = np.count_nonzero(bm.dims[pairing.pairs[:, 1]] < f.max_dim)
         assert pairing.cleared_columns == deaths_below_top
