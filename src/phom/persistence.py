@@ -141,56 +141,63 @@ def reduce(bm: BoundaryMatrix) -> Pairing:
     """Compute the persistence pairing of a boundary matrix by reducing its
     coboundary rows (see the module docstring)."""
     paired = np.zeros(bm.n_columns, dtype=bool)  # the simplices paired so far
-    found = [np.empty((0, 2), dtype=np.int64)]
-    additions = cleared = apparent_pairs = 0
+    found, work = [np.empty((0, 2), dtype=np.int64)], np.zeros(3, dtype=np.int64)
     # top-dimension simplices have no cofaces, so their dimension is skipped
     for k in range(int(bm.dims.max(initial=0))):
-        # the dimension's rows; members and owners are positions among the
-        # k-simplices, pivots and cofaces among the (k + 1)-simplices
-        here, up = np.flatnonzero(bm.dims == k), np.flatnonzero(bm.dims == k + 1)
-        indptr, cofaces = bm.coboundary(k)
-        # clearing: the only paired k-simplices are deaths one dimension down,
-        # whose cocolumns reduce to 0; an empty cocolumn pairs nothing
-        cleared += int(paired[here].sum())
-        members = np.flatnonzero(~paired[here] & (np.diff(indptr) > 0))
-        pivots = cofaces[indptr[members]]
-        # apparent pairs: sigma's pivot tau, whose youngest facet is sigma
-        apparent = bm.facets[k + 1][:, 0].copy()  # each tau's youngest facet
-        for column in bm.facets[k + 1].T[1:]:
-            np.maximum(apparent, column, out=apparent)
-        rest = apparent[pivots] != members
-        apparent.fill(-1)  # from here on, the sigma of tau's apparent pair, or -1
-        apparent[pivots[~rest]] = members[~rest]
-        apparent_pairs += int(np.count_nonzero(~rest))
-        members, pivots = members[rest][::-1], pivots[rest][::-1]
-        owner: dict[int, int] = {}  # the loop's own pivots -> the cocolumn holding each
-        reduced: dict[int, set] = {}  # cocolumns that differ from their original
-        for i, pivot in zip(members.tolist(), pivots.tolist()):
-            if pivot in owner or apparent.item(pivot) >= 0:
-                col = set(cofaces[indptr[i] : indptr[i + 1]].tolist())
-                while col:
-                    pivot = min(col)
-                    o = owner.get(pivot, apparent.item(pivot))
-                    if o < 0:
-                        break
-                    other = reduced.get(o)
-                    col.symmetric_difference_update(
-                        cofaces[indptr[o] : indptr[o + 1]].tolist() if other is None else other
-                    )
-                    additions += 1
-                if not col:
-                    continue
-                reduced[i] = col
-            owner[pivot] = i
-        apparent[list(owner)] = list(owner.values())  # now every pivot's owner
-        deaths = np.flatnonzero(apparent >= 0)
-        pairs = np.column_stack([here[apparent[deaths]], up[deaths]])
-        paired[pairs] = True
+        pairs, *counts = _reduce_dimension(bm, k, paired)
         found.append(pairs)
+        work += counts
     pairs = np.concatenate(found)
-    return Pairing(
-        pairs[np.argsort(pairs[:, 0])], np.flatnonzero(~paired), additions, cleared, apparent_pairs
-    )
+    return Pairing(pairs[np.argsort(pairs[:, 0])], np.flatnonzero(~paired), *work.tolist())
+
+
+def _reduce_dimension(bm: BoundaryMatrix, k: int, paired: np.ndarray) -> tuple:
+    """Reduce dimension k: its (k-simplex, (k + 1)-simplex) pairs, also
+    marked in ``paired``, and its column additions, cleared columns and
+    apparent pairs. Its rows, owners and reduced cocolumns go on return."""
+    # the dimension's rows; members and owners are positions among the
+    # k-simplices, pivots and cofaces among the (k + 1)-simplices
+    here, up = np.flatnonzero(bm.dims == k), np.flatnonzero(bm.dims == k + 1)
+    indptr, cofaces = bm.coboundary(k)
+    # clearing: the only paired k-simplices are deaths one dimension down,
+    # whose cocolumns reduce to 0; an empty cocolumn pairs nothing
+    cleared = int(paired[here].sum())
+    members = np.flatnonzero(~paired[here] & (np.diff(indptr) > 0))
+    pivots = cofaces[indptr[members]]
+    # apparent pairs: sigma's pivot tau, whose youngest facet is sigma
+    apparent = bm.facets[k + 1][:, 0].copy()  # each tau's youngest facet
+    for column in bm.facets[k + 1].T[1:]:
+        np.maximum(apparent, column, out=apparent)
+    rest = apparent[pivots] != members
+    apparent.fill(-1)  # from here on, the sigma of tau's apparent pair, or -1
+    apparent[pivots[~rest]] = members[~rest]
+    apparent_pairs = int(np.count_nonzero(~rest))
+    members, pivots = members[rest][::-1], pivots[rest][::-1]
+    owner: dict[int, int] = {}  # the loop's own pivots -> the cocolumn holding each
+    reduced: dict[int, set] = {}  # cocolumns that differ from their original
+    additions = 0
+    for i, pivot in zip(members.tolist(), pivots.tolist()):
+        if pivot in owner or apparent.item(pivot) >= 0:
+            col = set(cofaces[indptr[i] : indptr[i + 1]].tolist())
+            while col:
+                pivot = min(col)
+                o = owner.get(pivot, apparent.item(pivot))
+                if o < 0:
+                    break
+                other = reduced.get(o)
+                col.symmetric_difference_update(
+                    cofaces[indptr[o] : indptr[o + 1]].tolist() if other is None else other
+                )
+                additions += 1
+            if not col:
+                continue
+            reduced[i] = col
+        owner[pivot] = i
+    apparent[list(owner)] = list(owner.values())  # now every pivot's owner
+    deaths = np.flatnonzero(apparent >= 0)
+    pairs = np.column_stack([here[apparent[deaths]], up[deaths]])
+    paired[pairs] = True
+    return pairs, additions, cleared, apparent_pairs
 
 
 def intervals(

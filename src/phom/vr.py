@@ -41,7 +41,7 @@ DIAMETER_EPS = "diameter-eps"
 EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 
 # Budget guard: refuse to enumerate complexes whose run would not fit in
-# memory. A whole persist or betti run peaks (tracemalloc) at 89-94 B per
+# memory. A whole persist or betti run peaks (tracemalloc) at 75-85 B per
 # simplex on the reference complexes and lat-lon, highest on lat-lon, in
 # reduce on each; build_vr peaks at 67-73 B. 192 is kept over a rounded-up 128,
 # which would raise the default cap (~44.7M simplices against 8 GiB) while

@@ -13,16 +13,18 @@ r(a, b) = c(a, b) - delta(a) - delta(b) over its pairs, and only pairs
 with r < 0 help. So n left and m right bars need no diagonal rows or
 columns: scipy's linear_sum_assignment on the n x m matrix of min(r, 0)
 solves the problem exactly; a brute-force matcher in the test suite
-verifies optimality on small instances.
+verifies optimality on small instances. scipy.optimize is bound lazily:
+it loads when the first matching is solved, so runs that solve none skip it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 from .geometry import check_budget
@@ -32,6 +34,22 @@ __all__ = [
     "MatchingProblem",
     "wasserstein_p",
 ]
+
+# importing scipy.optimize takes most of a CLI run's start-up time and
+# memory, and only a matching needs it: unless it is imported already, bind
+# it lazily (the LazyLoader recipe of the importlib docs)
+_optimize = sys.modules.get("scipy.optimize")
+if _optimize is None:
+    _spec = importlib.util.find_spec("scipy.optimize")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _optimize = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_optimize)
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.optimize.linear_sum_assignment, loading scipy on first use."""
+    return _optimize.linear_sum_assignment(cost)
+
 
 # cells of the cost matrix filled per step; the step's scratch block is
 # this size, so the fill allocates nothing n x m beyond the matrix

@@ -361,10 +361,11 @@ def test_reduce_peak_memory(msd_clouds):
     # reduce makes one dimension's coboundary rows at a time, keeps only a
     # bool array across dimensions and drops each dimension's rows and
     # owners when it ends. Its input holds no rows, so its peak covers the
-    # transpose too: about 59 B per simplex on this complex, against 74 B
-    # when the loop's pivot map held the apparent pairs too and 117 B when
-    # one map held the pairs of every dimension and the rows of every
-    # dimension were built beforehand
+    # transpose too: about 46 B per simplex on this complex, against 59 B
+    # when a dimension's rows lived on while the next one's were made and
+    # the pairs were assembled, 74 B when the loop's pivot map held the
+    # apparent pairs too and 117 B when one map held the pairs of every
+    # dimension and the rows of every dimension were built beforehand
     dm = phom.distance_matrix(msd_clouds[(10000.0, 3)])
     bm = phom.build_boundary_matrix(phom.build_vr(dm, 0.31, 4, edge_rule=DIAMETER_EPS))
     tracemalloc.start()
@@ -377,11 +378,11 @@ def test_reduce_peak_memory(msd_clouds):
     per_simplex = peak / bm.n_columns
     say(
         f"[budget] k2=1e4 mode 3: reduce peaks {per_simplex:.1f} B per simplex "
-        f"above its input over {bm.n_columns} simplices (limit 72 B): "
-        + ("PASS" if per_simplex <= 72 else "FAIL")
+        f"above its input over {bm.n_columns} simplices (limit 56 B): "
+        + ("PASS" if per_simplex <= 56 else "FAIL")
     )
     assert bm.n_columns == 93917
-    assert per_simplex <= 72
+    assert per_simplex <= 56
 
 
 def test_build_vr_kept_memory(msd_clouds):

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +14,7 @@ from phom import (
     MatchingProblem,
     PersistenceInterval,
     ResourceError,
+    read_barcode_csv,
     wasserstein_p,
 )
 from oracles import brute_wasserstein, cost_diag, cost_pair
@@ -326,3 +331,58 @@ def test_wasserstein_scale_equivariance():
         )
         d2 = wasserstein_p(scale(a), scale(b), 2.0)
         assert math.isclose(d2, c * d1, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports phom from src/."""
+    src = pathlib.Path(__file__).parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADS_SCIPY_ONLY_TO_MATCH = """
+import contextlib, io, sys
+import phom.cli
+
+def phom_out(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert phom.cli.main(list(argv)) == 0
+    return out.getvalue()
+
+d = sys.argv[1]
+phom_out("gen", "sphere", "--nu", "8", "--nv", "5", "--out", f"{d}/s.csv")
+phom_out("gen", "fibsphere", "--n", "40", "--out", f"{d}/f.csv")
+phom_out("vr", f"{d}/s.csv", "--eps", "0.9", "--max-dim", "2")
+phom_out("betti", f"{d}/s.csv", "--eps", "0.9", "--max-dim", "3", "--max-k", "2")
+for cloud, bars in (("s", "a"), ("f", "b")):
+    phom_out("persist", f"{d}/{cloud}.csv", "--eps", "0.9", "--max-dim", "2",
+             "--out", f"{d}/{bars}.csv")
+assert "scipy.optimize._lsap" not in sys.modules, "scipy loaded before a matching"
+print(phom_out("compare", f"{d}/a.csv", f"{d}/b.csv"), end="")
+assert "scipy.optimize._lsap" in sys.modules
+"""
+
+
+def test_scipy_loads_only_to_solve_a_matching(tmp_path):
+    # importing scipy.optimize costs most of a CLI run's start-up time and
+    # memory: vr, betti, persist and gen must not load it, and compare must
+    printed = run_python(LOADS_SCIPY_ONLY_TO_MATCH, tmp_path)
+    want = wasserstein_p(read_barcode_csv(tmp_path / "a.csv"), read_barcode_csv(tmp_path / "b.csv"))
+    assert 0.0 < want < math.inf
+    assert printed == f"d_Wp = {want:.5g}\n"
+
+
+def test_scipy_imported_first_is_reused():
+    script = (
+        "import sys, scipy.optimize, phom.wasserstein as w\n"
+        "assert w._optimize is scipy.optimize is sys.modules['scipy.optimize']\n"
+        "print(w.linear_sum_assignment([[2.0, 1.0], [1.0, 3.0]])[1].tolist())\n"
+    )
+    assert run_python(script) == "[1, 0]\n"
