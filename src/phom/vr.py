@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .geometry import DEFAULT_MEMORY_BUDGET_BYTES, DistanceMatrix
+from .geometry import DEFAULT_MEMORY_BUDGET_BYTES, DistanceMatrix, check_budget
 
 __all__ = [
     "Filtration",
@@ -43,7 +43,7 @@ EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 # Budget guard: refuse to enumerate complexes whose run would not fit in
 # memory. A whole persist or betti run peaks (tracemalloc) at 75-85 B per
 # simplex on the reference complexes and lat-lon, highest on lat-lon, in
-# reduce on each; build_vr peaks at 67-73 B. 192 is kept over a rounded-up 128,
+# reduce on each; build_vr peaks at 51-56 B. 192 is kept over a rounded-up 128,
 # which would raise the default cap (~44.7M simplices against 8 GiB) while
 # a cap above the host's memory is an open question.
 ESTIMATED_BYTES_PER_SIMPLEX = 192
@@ -51,6 +51,7 @@ ESTIMATED_BYTES_PER_SIMPLEX = 192
 # build_vr joins siblings for a block of whole simplices at a time, at
 # most this many candidate pairs (or the n - 1 one simplex can have), so
 # that the int32 candidate arrays stay near 2 MB however large the complex.
+# The child index keeps 4 B per candidate of the dimension below.
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -109,15 +110,15 @@ def build_vr(
     parent q (vertices share the empty parent) make the k-simplex p + {b}
     exactly when a and b are adjacent. Siblings are contiguous in
     lexicographic order and each p is joined with those after it, so the
-    children come out in that order too; one stable sort by birth then
-    gives the (birth, dim, vertices) order. A child's facet k is p, its
-    facet k - 1 is s, and facet i < k - 1 is p's facet i plus b, found by
-    its key: the child of q and v has key q * n + v, ascending in
-    lexicographic order. Every edge of the child lies in p or s or is
-    (a, b), so its birth is the largest of theirs. The running simplex
-    count must stay within ``max_simplices`` (default: an 8 GiB memory
-    budget) before a block of children gets its facets, or ResourceError
-    is raised.
+    children come out in that order too. A child's facet k is p, its
+    facet k - 1 is s, and facet i < k - 1 is the child of p's and s's
+    facets i, read from the child index the dimension below made (the
+    edge (a, b), a triangle's facet 0, is binary-searched). Every edge
+    lies in p, s or facet 0, so the birth is the largest of theirs, as a
+    rank among the distinct edge lengths; one sort by rank then gives the
+    (birth, dim, vertices) order. The running simplex count must stay
+    within ``max_simplices`` (default: an 8 GiB memory budget) before a
+    block of children gets its facets, or ResourceError is raised.
     """
     if not 0.0 < eps_max < math.inf:
         raise InputError(f"eps_max must be positive and finite, got {eps_max}")
@@ -137,22 +138,29 @@ def build_vr(
     d = dm.entries
     # admit a pair when its distance is <= eps_max / scale
     adjacent = d <= eps_max / scale
-    # per dimension, in lexicographic order: the facets, and the births
-    # before the edge rule's scale (the largest pairwise distance)
+    # per dimension, in lexicographic order: the facets, and the births as
+    # ranks among the distinct values of {0} and the edge lengths
     facets = [np.empty((n, 0), dtype=np.int32)]
-    raw = [np.zeros(n)]
-    # the parents and last vertices of the dimension being grown from
+    ranks = [np.zeros(n, dtype=np.int32)]
+    values = np.zeros(1)
+    # the parents and last vertices of the dimension being grown from, and
+    # the child index over the candidates that made it, with their offsets
     parent = np.zeros(n, dtype=np.int32)
     top = np.arange(n, dtype=np.int32)
+    index = cum_below = None
     count = n
     for k in range(1, max_dim + 1):
-        keys = parent * np.int64(n) + top
         # the siblings after simplex j run to the end of its parent's
         # children; cum[j] counts those of the simplices before j
         later = np.cumsum(np.bincount(parent))[parent] - np.arange(1, len(top) + 1)
         cum = np.concatenate(([0], np.cumsum(later)))
-        new_facets, new_births, new_top = [], [], []
-        lo = 0
+        keys = parent * np.int64(n) + top if k == 2 else None
+        child = None
+        if 2 <= k < max_dim:
+            check_budget(4 * int(cum[-1]), f"the child index of dimension {k}")
+            child = np.empty(int(cum[-1]), dtype=np.int32)
+        new_facets, new_ranks, new_top = [], [], []
+        lo, start = 0, count
         # whole simplices per block; an empty dimension makes one empty block
         while lo < len(top) or not new_facets:
             hi = int(np.searchsorted(cum, cum[lo] + _BLOCK_PAIRS, "right")) - 1
@@ -161,6 +169,9 @@ def build_vr(
             second = first + np.arange(len(first), dtype=np.int32)
             second += np.repeat((cum[lo] - cum[lo:hi] + 1).astype(np.int32), later[lo:hi])
             keep = adjacent[top[first], top[second]]
+            if child is not None:
+                # the lexicographic position of each candidate's child
+                child[cum[lo] : cum[hi]] = np.cumsum(keep) + (count - start - 1)
             first, second = first[keep], second[keep]
             count += len(first)
             if count > max_simplices:
@@ -168,28 +179,47 @@ def build_vr(
                     f"simplex budget exceeded: more than {max_simplices} "
                     f"simplices at dimension {k} (override with max_simplices)"
                 )
-            a, b = top[first], top[second]
+            b = top[second]
             fac = np.empty((len(first), k + 1), dtype=np.int32)
             fac[:, k - 1], fac[:, k] = second, first
-            for i in range(k - 1):
-                fac[:, i] = np.searchsorted(keys, facets[-1][first, i] * np.int64(n) + b)
+            if k == 2:
+                fac[:, 0] = np.searchsorted(keys, top[first] * np.int64(n) + b)
+            elif k > 2:
+                # p's and s's facets i are siblings, and their child is facet i
+                for i in range(k - 1):
+                    x, y = facets[-1][first, i], facets[-1][second, i]
+                    fac[:, i] = index[cum_below[x] + (y - x - 1)]
+                del x, y
             new_facets.append(fac)
-            new_births.append(np.max([raw[-1][first], raw[-1][second], d[a, b]], axis=0))
+            r = ranks[-1]
+            new_ranks.append(np.maximum(np.maximum(r[first], r[second]), r[fac[:, 0]]))
             new_top.append(b)
             lo = hi
         facets.append(np.concatenate(new_facets))
-        raw.append(np.concatenate(new_births))
+        ranks.append(np.concatenate(new_ranks))
+        if k == 1:
+            # the loop ranked each edge 0, as its vertices are; rank by length
+            lengths = d[facets[1][:, 1], facets[1][:, 0]]
+            values = np.sort(np.concatenate(([0.0], lengths)))
+            values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+            ranks[1] = np.searchsorted(values, lengths).astype(np.int32)
         parent, top = facets[-1][:, k], np.concatenate(new_top)
-        del keys, later, cum, first, second, a, b, new_facets, new_births, new_top
-    del parent, top
+        index, cum_below = child, cum
+        del later, cum, child, keys, first, second, keep, b, fac, new_facets, new_ranks, new_top
+    del parent, top, index, cum_below
 
-    sizes = [len(b) for b in raw]
-    births = np.concatenate(raw)
-    order = np.argsort(births, kind="stable")
+    # positions run over dimensions and then lexicographically, so one
+    # sort of the unique keys (rank, position) gives the stable birth order
+    sizes = [len(r) for r in ranks]
+    order = np.concatenate(ranks, dtype=np.int64) << 32 | np.arange(sum(sizes))
+    del ranks
+    order.sort()
+    births = (values * scale)[order >> 32]
+    order &= 0xFFFFFFFF
     dims = np.repeat(np.arange(max_dim + 1, dtype=np.int8), sizes)[order]
     offsets = np.cumsum([0] + sizes)
     # rank[lex] is the filtration position among the simplices of the
-    # dimension below; the stable sort leaves vertices in index order
+    # dimension below; the sort leaves vertices in index order
     rank = np.arange(n, dtype=np.int32)
     for k in range(1, max_dim + 1):
         lex = order[dims == k] - offsets[k]
@@ -199,7 +229,7 @@ def build_vr(
         rank[lex] = np.arange(len(lex), dtype=np.int32)
     return Filtration(
         facets=tuple(facets),
-        births=births[order] * scale,
+        births=births,
         dims=dims,
         eps_max=float(eps_max),
         max_dim=max_dim,

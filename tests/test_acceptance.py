@@ -313,25 +313,27 @@ def test_apparent_pairs_latlon():
     assert (pairing.column_additions, pairing.cleared_columns) == (2_668, 2_056)
 
 
-def test_budget_estimate_covers_peak_memory(msd_clouds):
-    # the betti path on this complex has the highest peak per simplex of
-    # the reference runs; the budget's per-simplex estimate must cover it
+def test_budget_estimate_covers_peak_memory():
+    # the betti path on the raw lat-lon grid has the highest peak per
+    # simplex of the reference runs, about 85 B against 75-79 B on the five
+    # mass-spring complexes; the budget's per-simplex estimate must cover it
+    raw = phom.gen_sphere_latlon(20, 10, include_u_endpoint=True, dedupe=False)
     tracemalloc.start()
     try:
-        dm = phom.distance_matrix(msd_clouds[(5000.0, 3)])
-        f = phom.build_vr(dm, 0.30, 4, edge_rule=DIAMETER_EPS)
-        phom.betti_numbers(f, 0.30, 3)
+        dm = phom.distance_matrix(raw)
+        f = phom.build_vr(dm, LATLON_EPS, 3, edge_rule=DIAMETER_EPS)
+        phom.betti_numbers(f, LATLON_EPS, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     per_simplex = peak / len(f)
     limit = phom.vr.ESTIMATED_BYTES_PER_SIMPLEX
     say(
-        f"[budget] k2=5000 mode 3: peak {per_simplex:.0f} B per simplex over "
+        f"[budget] latlon 20x10 raw grid: peak {per_simplex:.0f} B per simplex over "
         f"{len(f)} simplices (estimate {limit} B): "
         + ("PASS" if per_simplex <= limit else "FAIL")
     )
-    assert len(f) >= 50_000
+    assert len(f) == PAPER_LATLON_TOTAL
     assert per_simplex <= limit
 
 
@@ -405,6 +407,29 @@ def test_build_vr_kept_memory(msd_clouds):
     )
     assert len(f) == 87571
     assert per_simplex <= 64
+
+
+def test_build_vr_peak_memory():
+    # build_vr's own peak on the raw lat-lon grid, its heaviest reference
+    # complex per simplex: about 55 B, against 70 B when every facet i < k - 1
+    # was binary-searched and the births were float64 sorted by argsort
+    raw = phom.gen_sphere_latlon(20, 10, include_u_endpoint=True, dedupe=False)
+    dm = phom.distance_matrix(raw)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = phom.build_vr(dm, LATLON_EPS, 3, edge_rule=DIAMETER_EPS)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    per_simplex = peak / len(f)
+    say(
+        f"[budget] latlon 20x10 raw grid: build_vr peaks {per_simplex:.1f} B per simplex "
+        f"over {len(f)} simplices (limit 62 B): "
+        + ("PASS" if per_simplex <= 62 else "FAIL")
+    )
+    assert len(f) == PAPER_LATLON_TOTAL
+    assert per_simplex <= 62
 
 
 # --- criterion 5: property suites ---

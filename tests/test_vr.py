@@ -79,6 +79,41 @@ def test_build_vr_order_and_births_bit_for_bit():
             assert simplices(f) == order
 
 
+def test_build_vr_child_index_matches_brute_force(monkeypatch):
+    # facets i < k - 1 come from a child index that dimension k - 1 fills
+    # for k >= 3, and births from ranks; from max_dim 4 on one index is
+    # read while the next is filled. The grids tie births, and the order
+    # must be the subset scan's bit for bit, whether a dimension grows in
+    # one block, in blocks of a few simplices or one simplex per block. No
+    # index is built at max_dim 0, 1 and 2, and the hub's spokes make
+    # candidates for dimension 2 but no triangle, so it is empty below
+    # max_dim
+    rng = np.random.default_rng(125)
+    lattice = [[x, y] for x in range(3) for y in range(3)]
+    angles = 2 * np.pi * np.arange(5) / 5
+    hub = np.concatenate([[[0.0, 0.0]], np.stack([np.cos(angles), np.sin(angles)], 1)])
+    clouds = [
+        (PointCloud(lattice + lattice), {DIAMETER_EPS: 1.5, PAPER_2EPS: 1.0}, 6),
+        (PointCloud(np.round(rng.uniform(size=(14, 2)), 1)), {DIAMETER_EPS: 0.45, PAPER_2EPS: 0.25}, 6),
+        (PointCloud(hub), {DIAMETER_EPS: 1.1, PAPER_2EPS: 0.55}, 2),
+    ]
+    whole = phom.vr._BLOCK_PAIRS
+    for cloud, eps, largest in clouds:
+        dm = distance_matrix(cloud)
+        for rule in (PAPER_2EPS, DIAMETER_EPS):
+            want = brute_force_vr(cloud.coords, eps[rule], 5, rule, entries=dm.entries)
+            assert max(len(s) for s in want) == largest
+            for max_dim in (0, 1, 2, 4, 5):
+                order = sorted(
+                    ((s, b) for s, b in want.items() if len(s) <= max_dim + 1),
+                    key=lambda t: (t[1], len(t[0]), t[0]),
+                )
+                for pairs in (whole, 7, 1):
+                    monkeypatch.setattr(phom.vr, "_BLOCK_PAIRS", pairs)
+                    f = build_vr(dm, eps[rule], max_dim, edge_rule=rule)
+                    assert simplices(f) == order
+
+
 def test_build_vr_budget_is_exact(monkeypatch):
     # the count is checked block by block before facets are made: a
     # budget equal to the simplex count passes and one less is refused,
@@ -94,6 +129,18 @@ def test_build_vr_budget_is_exact(monkeypatch):
         assert simplices(f) == simplices(whole)
         with pytest.raises(ResourceError):
             build_vr(dm, 1.2, 4, max_simplices=total - 1)
+
+
+def test_build_vr_child_index_budget(monkeypatch):
+    # the child index costs 4 B per candidate pair of its dimension: the
+    # square's six edges make four pairs for dimension 2, so a 16 B memory
+    # budget holds the index and 15 B refuses it before it is made
+    dm = distance_matrix(SQUARE)
+    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", 16)
+    assert build_vr(dm, 0.75, 3).counts_by_dim() == {0: 4, 1: 6, 2: 4, 3: 1}
+    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", 15)
+    with pytest.raises(ResourceError, match="child index of dimension 2"):
+        build_vr(dm, 0.75, 3)
 
 
 def test_build_vr_hub_budget_counts_simplices(monkeypatch):

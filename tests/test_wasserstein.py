@@ -365,6 +365,7 @@ for cloud, bars in (("s", "a"), ("f", "b")):
     phom_out("persist", f"{d}/{cloud}.csv", "--eps", "0.9", "--max-dim", "2",
              "--out", f"{d}/{bars}.csv")
 assert "scipy.optimize._lsap" not in sys.modules, "scipy loaded before a matching"
+assert "numpy.ma" not in sys.modules, "numpy.ma loaded before a matching"
 print(phom_out("compare", f"{d}/a.csv", f"{d}/b.csv"), end="")
 assert "scipy.optimize._lsap" in sys.modules
 """
@@ -372,7 +373,8 @@ assert "scipy.optimize._lsap" in sys.modules
 
 def test_scipy_loads_only_to_solve_a_matching(tmp_path):
     # importing scipy.optimize costs most of a CLI run's start-up time and
-    # memory: vr, betti, persist and gen must not load it, and compare must
+    # memory: vr, betti, persist and gen must not load it, and compare must;
+    # numpy.ma, which np.unique imports, must wait for compare too
     printed = run_python(LOADS_SCIPY_ONLY_TO_MATCH, tmp_path)
     want = wasserstein_p(read_barcode_csv(tmp_path / "a.csv"), read_barcode_csv(tmp_path / "b.csv"))
     assert 0.0 < want < math.inf
