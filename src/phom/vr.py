@@ -223,8 +223,9 @@ def build_vr(
     rank = np.arange(n, dtype=np.int32)
     for k in range(1, max_dim + 1):
         lex = order[dims == k] - offsets[k]
-        facets[k] = rank[facets[k]]
-        facets[k] = facets[k][lex]
+        # one column at a time, so the dimension is never copied whole
+        for column in facets[k].T:
+            column[:] = np.take(rank, np.take(column, lex))
         rank = np.empty(len(lex), dtype=np.int32)
         rank[lex] = np.arange(len(lex), dtype=np.int32)
     return Filtration(

@@ -10,11 +10,11 @@ infinitely far apart (returned as math.inf, not an error).
 With delta(a) the cost of sending bar a to the diagonal and c(a, b) that
 of matching a with b, a partial matching costs every bar's delta plus
 r(a, b) = c(a, b) - delta(a) - delta(b) over its pairs, and only pairs
-with r < 0 help. So n left and m right bars need no diagonal rows or
-columns: scipy's linear_sum_assignment on the n x m matrix of min(r, 0)
-solves the problem exactly; a brute-force matcher in the test suite
-verifies optimality on small instances. scipy.optimize is bound lazily:
-it loads when the first matching is solved, so runs that solve none skip it.
+with r < 0 help. So only the negative cells of the n x m reduced costs
+are stored, and scipy's sparse LAPJVsp (Jonker & Volgenant 1987) matches
+each left bar to one of them or to its own diagonal column, exactly: a
+brute-force matcher and a dense assignment in the test suite verify it.
+scipy.sparse is bound lazily, so runs that compare no barcodes skip it.
 """
 
 from __future__ import annotations
@@ -35,25 +35,26 @@ __all__ = [
     "wasserstein_p",
 ]
 
-# importing scipy.optimize takes most of a CLI run's start-up time and
-# memory, and only a matching needs it: unless it is imported already, bind
-# it lazily (the LazyLoader recipe of the importlib docs)
-_optimize = sys.modules.get("scipy.optimize")
-if _optimize is None:
-    _spec = importlib.util.find_spec("scipy.optimize")
+# importing scipy takes most of a CLI run's start-up time and memory, and
+# only a matching needs it: unless it is imported already, bind
+# scipy.sparse lazily (the LazyLoader recipe of the importlib docs); the
+# spec of scipy.sparse.csgraph cannot be found without importing it
+_sparse = sys.modules.get("scipy.sparse")
+if _sparse is None:
+    _spec = importlib.util.find_spec("scipy.sparse")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    _optimize = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(_optimize)
+    _sparse = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_sparse)
 
 
-def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy.optimize.linear_sum_assignment, loading scipy on first use."""
-    return _optimize.linear_sum_assignment(cost)
-
-
-# cells of the cost matrix filled per step; the step's scratch block is
-# this size, so the fill allocates nothing n x m beyond the matrix
+# cells of the reduced costs computed per step; the step's two scratch
+# blocks are this size, so the fill allocates nothing n x m
 _BLOCK_CELLS = 1 << 15
+
+# bytes per cell when every cell is negative: the fill keeps 12 (value and
+# column), and the solve peaks at 39.0-39.5 (tracemalloc, 200 x 200 to
+# 2,500 x 2,500 bars) in its graph and scipy's copies of it
+_BYTES_PER_CELL = 40
 
 
 @dataclass
@@ -63,67 +64,75 @@ class MatchingProblem:
     ``left`` and ``right`` are barcodes of finite intervals that share one
     dimension. Costs are raised to the power p, so the solved objective is
     the inner sum of the Wasserstein formula restricted to this dimension.
-    ``cost`` holds min(r, 0) and ``diagonal`` each side's delta.
+    ``cost`` holds min(r, 0) as an n x m scipy.sparse.csr_array that
+    stores only the cells with r < 0, and ``diagonal`` each side's delta.
     """
 
     left: Barcode
     right: Barcode
     p: float
-    cost: np.ndarray = field(init=False, repr=False)
+    cost: _sparse.csr_array = field(init=False, repr=False)
     diagonal: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         left, right, p = self.left, self.right, self.p
         n, m = len(left), len(right)
-        check_budget(8 * n * m, f"the cost matrix of {n} against {m} bars")
+        # this also keeps n * m, and so every index below, under 2**31
+        check_budget(_BYTES_PER_CELL * n * m, f"the matching of {n} against {m} bars")
         dims = np.union1d(left.dims, right.dims)
         if len(dims) > 1:
             raise InputError(f"intervals span several dimensions: {dims.tolist()}")
         if np.isinf(left.deaths).any() or np.isinf(right.deaths).any():
             raise InputError("matching problems hold finite intervals only")
         self.diagonal = tuple(((b.deaths - b.births) / 2.0) ** p for b in (left, right))
+        # count each row's negative cells, then compute the blocks again
+        # to store them, so the arrays are made once at their final size
+        blocks = self._reduced_costs
+        counts = [np.count_nonzero(block < 0.0, axis=1) for _, _, block in blocks()]
+        indptr = np.concatenate([[0], *counts]).cumsum(dtype=np.int32)
+        data, columns = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+        for lo, hi, block in blocks():
+            kept = np.flatnonzero(block < 0.0)
+            rows = slice(indptr[lo], indptr[hi])
+            data[rows] = block.ravel()[kept]
+            columns[rows] = kept % m
+        self.cost = _sparse.csr_array((data, columns, indptr), shape=(n, m))
+
+    def _reduced_costs(self):
+        """Yield (lo, hi, block) with block[i, j] = r(left[lo + i], right[j])
+        for consecutive row blocks; each block is overwritten by the next."""
+        left, right = self.left, self.right
         left_diag, right_diag = self.diagonal
-        # scipy solves a tall matrix by copying out its transpose, so a tall
-        # problem fills the wide right x left matrix and keeps its transpose;
-        # |x - y| == |y - x| and left's delta goes first either way, so every
-        # cell holds the same float in both layouts
-        row_bars, col_bars = left, right
-        left_d = np.broadcast_to(left_diag[:, None], (n, m))
-        right_d = np.broadcast_to(right_diag, (n, m))
-        if n > m:
-            row_bars, col_bars, left_d, right_d = right, left, left_d.T, right_d.T
-        c = np.empty(left_d.shape)
-        step = max(1, _BLOCK_CELLS // max(len(col_bars), 1))
-        scratch = np.empty((min(step, len(row_bars)), len(col_bars)))
-        for lo in range(0, len(row_bars), step):
-            hi = min(lo + step, len(row_bars))
-            block, other = c[lo:hi], scratch[: hi - lo]
-            np.subtract(row_bars.births[lo:hi, None], col_bars.births, out=block)
+        step = max(1, _BLOCK_CELLS // max(len(right), 1))
+        scratch = np.empty((2, min(step, len(left)), len(right)))
+        for lo in range(0, len(left), step):
+            hi = min(lo + step, len(left))
+            block, other = scratch[:, : hi - lo]
+            np.subtract(left.births[lo:hi, None], right.births, out=block)
             np.abs(block, out=block)
-            np.subtract(row_bars.deaths[lo:hi, None], col_bars.deaths, out=other)
+            np.subtract(left.deaths[lo:hi, None], right.deaths, out=other)
             np.abs(other, out=other)
             np.maximum(block, other, out=block)
-            np.power(block, p, out=block)
-            block -= left_d[lo:hi]
-            block -= right_d[lo:hi]
-            np.minimum(block, 0.0, out=block)
-        self.cost = c.T if n > m else c
+            np.power(block, self.p, out=block)
+            block -= left_diag[lo:hi, None]
+            block -= right_diag
+            yield lo, hi, block
 
     def solve(self) -> float:
         """Minimal total p-th-power cost over all partial matchings."""
         left_diag, right_diag = self.diagonal
-        if not (len(left_diag) and len(right_diag)):
+        n, m = self.cost.shape
+        if not (n and m):
             return float(left_diag.sum() + right_diag.sum())
-        if len(left_diag) > len(right_diag):
-            # cost is the transpose of a wide matrix; solve that one and
-            # list its pairs in left-bar order, as scipy would have
-            cols, rows = linear_sum_assignment(self.cost.T)
-            order = np.argsort(rows)
-            rows, cols = rows[order], cols[order]
-        else:
-            rows, cols = linear_sum_assignment(self.cost)
-        matched = self.cost[rows, cols] < 0.0
-        rows, cols = rows[matched], cols[matched]
+        # column m + i sends left bar i to the diagonal; LAPJVsp drops
+        # explicit zeros, and the smallest positive float as its weight
+        # leaves every real weight, and so the optimal matchings, as they are
+        weights, at = np.full(n, np.nextafter(0.0, 1.0)), np.arange(n + 1, dtype=np.int32)
+        diagonal = _sparse.csr_array((weights, at[:-1], at), shape=(n, n))
+        graph = _sparse.hstack([self.cost, diagonal], format="csr")
+        rows, cols = _sparse.csgraph.min_weight_full_bipartite_matching(graph)
+        real = cols < m
+        rows, cols = rows[real], cols[real]
         left, right = self.left, self.right
         pairs = np.maximum(
             np.abs(left.births[rows] - right.births[cols]),

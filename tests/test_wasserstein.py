@@ -17,7 +17,13 @@ from phom import (
     read_barcode_csv,
     wasserstein_p,
 )
-from oracles import brute_wasserstein, cost_diag, cost_pair
+from oracles import (
+    brute_wasserstein,
+    cost_diag,
+    cost_pair,
+    dense_matching_cost,
+    dense_reduced_costs,
+)
 
 
 def iv(dim, birth, death):
@@ -71,13 +77,13 @@ def test_matching_problem_pair_cost_cells():
     left = bc(iv(0, 0, 1), iv(0, 0, 1), *random_finite(rng, 0, 30))
     right = bc(iv(0, 0, 1), iv(0, 0, 2), *random_finite(rng, 0, 25))
     for p in (1.0, 2.0):
-        cost = MatchingProblem(left, right, p).cost
+        cost = MatchingProblem(left, right, p).cost.toarray()
         for i, a in enumerate(left):
             for j, b in enumerate(right):
                 assert_reduced_cell(cost[i, j], (a.birth, a.death), (b.birth, b.death), p)
     # equal bars save both diagonal costs, and the L-infinity distance
     # takes the larger endpoint gap: (0, 1) against (0, 2) costs 1, not 2
-    cost = MatchingProblem(bc(iv(0, 0, 1)), bc(iv(0, 0, 1), iv(0, 0, 2)), 1.0).cost
+    cost = MatchingProblem(bc(iv(0, 0, 1)), bc(iv(0, 0, 1), iv(0, 0, 2)), 1.0).cost.toarray()
     assert cost[0, 0] == -1.0 and cost[0, 1] == -0.5
     # infinite bars are priced by birth alone
     assert wasserstein_p(bc(iv(1, 0, math.inf)), bc(iv(1, 0.3, math.inf)), 1.0) == 0.3
@@ -89,11 +95,11 @@ def test_matching_problem_pair_cost_cells():
 
 
 def test_matching_problem_diagonal_cost_cells(monkeypatch):
-    # with one side empty every bar goes to the diagonal, without scipy
-    def no_solver(cost):
+    # with one side empty every bar goes to the diagonal, without a solve
+    def no_solver(graph):
         raise AssertionError("one-sided problems need no assignment")
 
-    monkeypatch.setattr("phom.wasserstein.linear_sum_assignment", no_solver)
+    monkeypatch.setattr("scipy.sparse.csgraph.min_weight_full_bipartite_matching", no_solver)
     rng = np.random.default_rng(4)
     left = bc(iv(0, 0, 2), iv(0, 0.7, 0.7), *random_finite(rng, 0, 20))
     right = bc(iv(0, 0.5, math.sqrt(2) / 2), *random_finite(rng, 0, 15))
@@ -113,23 +119,27 @@ def test_matching_problem_diagonal_cost_cells(monkeypatch):
 
 
 def test_matching_problem_cost_fill_memory():
-    # the fill works in place one row block at a time: nothing n x m is
-    # allocated beyond the cost matrix itself
+    # the fill works one row block at a time and stores the negative
+    # cells in arrays made at their final size: nothing n x m is allocated,
+    # and nothing beyond the sparse cost but two scratch blocks
     rng = np.random.default_rng(11)
     left, right = random_finite(rng, 1, 1500), random_finite(rng, 1, 1462)
+    MatchingProblem(left[:2], right[:2], 2.0)  # scipy.sparse loaded already
     tracemalloc.start()
     try:
         prob = MatchingProblem(left, right, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prob.cost.shape == (1500, 1462)
-    assert peak <= prob.cost.nbytes + 2**20
+    cost = prob.cost
+    assert cost.shape == (1500, 1462)
+    assert peak <= cost.data.nbytes + cost.indices.nbytes + cost.indptr.nbytes + 2**20
 
 
 def test_matching_problem_refuses_oversized_matrix():
-    # 8 * 33,000**2 bytes is just over the 8 GiB default memory budget, so
-    # the problem is refused before anything n x m is allocated
+    # 33,000**2 cells at the measured bytes per cell are far over the 8 GiB
+    # default memory budget, so the problem is refused before anything is
+    # allocated
     rng = np.random.default_rng(12)
     left, right = random_finite(rng, 0, 33_000), random_finite(rng, 0, 33_000)
     tracemalloc.start()
@@ -156,37 +166,107 @@ def test_matching_problem_cost_matrix_shape():
         prob = MatchingProblem(left, right, 2.0)
         # no diagonal rows or columns, and no cell a matching would avoid
         assert prob.cost.shape == (n, m)
-        assert np.all(prob.cost <= 0.0)
+        assert np.all(prob.cost.data < 0.0)
 
 
-def test_matching_problem_hands_scipy_a_wide_matrix(monkeypatch):
-    # scipy copies a tall matrix to solve its transpose; a tall problem
-    # must hand it a wide C-contiguous view and get the same answer
-    import phom.wasserstein as w
+def test_matching_problem_hands_scipy_the_improving_pairs(monkeypatch):
+    # the solver gets n rows and m + n columns: the stored cells, every one
+    # negative, and then column m + i alone, with the smallest positive
+    # weight, for sending left bar i to the diagonal
+    import scipy.sparse.csgraph
 
     seen = []
 
-    def lsa(cost):
-        seen.append((cost.shape, cost.flags.c_contiguous))
-        return real(cost)
+    def matching(graph):
+        seen.append(graph)
+        return real(graph)
 
-    real = w.linear_sum_assignment
-    monkeypatch.setattr(w, "linear_sum_assignment", lsa)
+    real = scipy.sparse.csgraph.min_weight_full_bipartite_matching
+    monkeypatch.setattr(scipy.sparse.csgraph, "min_weight_full_bipartite_matching", matching)
     rng = np.random.default_rng(14)
     left, right = random_finite(rng, 1, 40), random_finite(rng, 1, 25)
+    tiny = np.nextafter(0.0, 1.0)
     for p in (1.0, 2.0, 3.0):
         tall, wide = MatchingProblem(left, right, p), MatchingProblem(right, left, p)
-        # both layouts run the same float operations on every cell
         for prob in (tall, wide):
-            a, b = prob.left, prob.right
-            c = np.maximum(
-                np.abs(a.births[:, None] - b.births), np.abs(a.deaths[:, None] - b.deaths)
-            )
-            delta = [((x.deaths - x.births) / 2.0) ** p for x in (a, b)]
-            assert np.array_equal(prob.cost, np.minimum(c**p - delta[0][:, None] - delta[1], 0.0))
+            n, m = prob.cost.shape
+            dense = dense_reduced_costs(prob.left, prob.right, p)
+            assert np.array_equal(prob.cost.toarray(), dense)
+            seen.clear()
+            prob.solve()
+            (graph,) = seen
+            assert graph.shape == (n, m + n)
+            assert np.array_equal(graph.toarray()[:, :m], dense)
+            assert np.all(graph.data[graph.indices < m] < 0.0)
+            assert np.array_equal(graph.toarray()[:, m:], np.diag(np.full(n, tiny)))
         assert tall.cost.shape == (40, 25)
         assert math.isclose(tall.solve(), wide.solve(), rel_tol=1e-12)
-    assert seen and all(shape == (25, 40) and contiguous for shape, contiguous in seen)
+
+
+def test_matching_problem_memory_per_cell():
+    # the memory guard prices n * m cells at _BYTES_PER_CELL: the solve's
+    # peak, with every cell negative and so stored, must stay within it
+    import phom.wasserstein as w
+
+    rng = np.random.default_rng(15)
+    sides = [
+        bc(*(iv(1, b, 10 + d) for b, d in rng.uniform(0, 0.1, (size, 2)).tolist()))
+        for size in (600, 500)
+    ]
+    MatchingProblem(sides[0][:2], sides[1][:2], 2.0).solve()  # scipy loaded already
+    tracemalloc.start()
+    try:
+        prob = MatchingProblem(*sides, 2.0)
+        prob.solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prob.cost.size == 600 * 500
+    assert peak <= w._BYTES_PER_CELL * 600 * 500
+
+
+def test_wasserstein_matches_dense_oracle_bit_for_bit():
+    # the sparse solve returns, to the last bit, what a dense assignment
+    # over every reduced cost returns: random bars, bars tied on a quarter
+    # lattice, identical sides and empty sides, at p = 1, 2 and 3
+    import phom.wasserstein as w
+
+    class DenseProblem(MatchingProblem):
+        def solve(self):
+            return dense_matching_cost(self.left, self.right, self.p)
+
+    def lattice(rng, n):
+        ends = np.sort(rng.integers(0, 9, (n, 2)), axis=1) / 4.0
+        return bc(*(iv(int(rng.integers(0, 2)), b, d) for b, d in ends.tolist()))
+
+    empty = Barcode((), eps_max=1.0)
+    rng = np.random.default_rng(2026)
+    cases = []
+    for i in range(1200):
+        kind = i % 4
+        if kind == 0:
+            a, b = random_barcode(rng, max_n=30), random_barcode(rng, max_n=30)
+        elif kind == 1:
+            a, b = lattice(rng, int(rng.integers(0, 25))), lattice(rng, int(rng.integers(0, 25)))
+        elif kind == 2:
+            a = random_barcode(rng, max_n=20) if i % 8 == 2 else lattice(rng, 20)
+            b = a
+        else:
+            a, b = random_barcode(rng, max_n=20, allow_inf=False), empty
+            if i % 8 == 7:
+                a, b = b, a
+        cases.append((a, b))
+    for a, b in cases:
+        for p in (1.0, 2.0, 3.0):
+            got = wasserstein_p(a, b, p)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(w, "MatchingProblem", DenseProblem)
+                want = wasserstein_p(a, b, p)
+            assert got == want or (math.isinf(got) and math.isinf(want))
+        for k in (0, 1):
+            left, right = (x[(x.dims == k) & np.isfinite(x.deaths)] for x in (a, b))
+            prob = MatchingProblem(left, right, 2.0)
+            assert np.array_equal(prob.cost.toarray(), dense_reduced_costs(left, right, 2.0))
 
 
 def test_wasserstein_identity_and_symmetry():
@@ -364,16 +444,19 @@ phom_out("betti", f"{d}/s.csv", "--eps", "0.9", "--max-dim", "3", "--max-k", "2"
 for cloud, bars in (("s", "a"), ("f", "b")):
     phom_out("persist", f"{d}/{cloud}.csv", "--eps", "0.9", "--max-dim", "2",
              "--out", f"{d}/{bars}.csv")
-assert "scipy.optimize._lsap" not in sys.modules, "scipy loaded before a matching"
+assert "scipy.sparse._csr" not in sys.modules, "scipy.sparse loaded before a matching"
+assert "scipy.sparse.csgraph._matching" not in sys.modules, "scipy loaded before a matching"
 assert "numpy.ma" not in sys.modules, "numpy.ma loaded before a matching"
 print(phom_out("compare", f"{d}/a.csv", f"{d}/b.csv"), end="")
-assert "scipy.optimize._lsap" in sys.modules
+assert "scipy.sparse.csgraph._matching" in sys.modules
+assert "scipy.optimize" not in sys.modules, "a matching loaded scipy.optimize"
 """
 
 
 def test_scipy_loads_only_to_solve_a_matching(tmp_path):
-    # importing scipy.optimize costs most of a CLI run's start-up time and
-    # memory: vr, betti, persist and gen must not load it, and compare must;
+    # importing scipy costs most of a CLI run's start-up time and memory:
+    # vr, betti, persist and gen must not load scipy.sparse or its matching
+    # solver, and compare must load the solver but never scipy.optimize;
     # numpy.ma, which np.unique imports, must wait for compare too
     printed = run_python(LOADS_SCIPY_ONLY_TO_MATCH, tmp_path)
     want = wasserstein_p(read_barcode_csv(tmp_path / "a.csv"), read_barcode_csv(tmp_path / "b.csv"))
@@ -383,8 +466,10 @@ def test_scipy_loads_only_to_solve_a_matching(tmp_path):
 
 def test_scipy_imported_first_is_reused():
     script = (
-        "import sys, scipy.optimize, phom.wasserstein as w\n"
-        "assert w._optimize is scipy.optimize is sys.modules['scipy.optimize']\n"
-        "print(w.linear_sum_assignment([[2.0, 1.0], [1.0, 3.0]])[1].tolist())\n"
+        "import sys, scipy.sparse, phom, phom.wasserstein as w\n"
+        "assert w._sparse is scipy.sparse is sys.modules['scipy.sparse']\n"
+        "bars = [phom.PersistenceInterval(0, 0.0, d) for d in (1.0, 2.0)]\n"
+        "left, right = (phom.Barcode((bar,), eps_max=3.0) for bar in bars)\n"
+        "print(w.MatchingProblem(left, right, 1.0).solve())\n"
     )
-    assert run_python(script) == "[1, 0]\n"
+    assert run_python(script) == "1.0\n"
