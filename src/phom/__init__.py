@@ -25,7 +25,6 @@ from .generators import (
     stiffness_matrix,
     write_msd_config,
 )
-from .homology import BoundaryMatrix, build_boundary_matrix
 from .persistence import (
     Barcode,
     Pairing,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Barcode",
-    "BoundaryMatrix",
     "ComputationError",
     "DIAMETER_EPS",
     "DistanceMatrix",
@@ -69,7 +67,6 @@ __all__ = [
     "ResourceError",
     "betti_curve",
     "betti_numbers",
-    "build_boundary_matrix",
     "build_vr",
     "distance_matrix",
     "gen_fibonacci_sphere",

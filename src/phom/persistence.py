@@ -2,7 +2,7 @@
 
 The pairing comes from persistent cohomology. The cocolumns are
 coboundary rows, each simplex's cofaces in ascending filtration order,
-which ``BoundaryMatrix.coboundary`` makes for one dimension at a time.
+which ``homology.coboundary`` makes for one dimension at a time.
 Dimensions are reduced from 0 upward, each in reverse filtration order,
 with a cocolumn's oldest coface (smallest filtration index) as its pivot.
 A reduced cocolumn of simplex i with pivot j pairs (i, j): the feature
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .homology import BoundaryMatrix, build_boundary_matrix
+from .homology import coboundary
 from .vr import Filtration
 
 __all__ = [
@@ -137,36 +137,36 @@ class Pairing:
     apparent_pairs: int = 0
 
 
-def reduce(bm: BoundaryMatrix) -> Pairing:
-    """Compute the persistence pairing of a boundary matrix by reducing its
+def reduce(f: Filtration) -> Pairing:
+    """Compute the persistence pairing of a filtration by reducing its
     coboundary rows (see the module docstring)."""
-    paired = np.zeros(bm.n_columns, dtype=bool)  # the simplices paired so far
+    paired = np.zeros(f.n_columns, dtype=bool)  # the simplices paired so far
     found, work = [np.empty((0, 2), dtype=np.int64)], np.zeros(3, dtype=np.int64)
     # top-dimension simplices have no cofaces, so their dimension is skipped
-    for k in range(int(bm.dims.max(initial=0))):
-        pairs, *counts = _reduce_dimension(bm, k, paired)
+    for k in range(int(f.dims.max(initial=0))):
+        pairs, *counts = _reduce_dimension(f, k, paired)
         found.append(pairs)
         work += counts
     pairs = np.concatenate(found)
     return Pairing(pairs[np.argsort(pairs[:, 0])], np.flatnonzero(~paired), *work.tolist())
 
 
-def _reduce_dimension(bm: BoundaryMatrix, k: int, paired: np.ndarray) -> tuple:
+def _reduce_dimension(f: Filtration, k: int, paired: np.ndarray) -> tuple:
     """Reduce dimension k: its (k-simplex, (k + 1)-simplex) pairs, also
     marked in ``paired``, and its column additions, cleared columns and
     apparent pairs. Its rows, owners and reduced cocolumns go on return."""
     # the dimension's rows; members and owners are positions among the
     # k-simplices, pivots and cofaces among the (k + 1)-simplices
-    here, up = np.flatnonzero(bm.dims == k), np.flatnonzero(bm.dims == k + 1)
-    indptr, cofaces = bm.coboundary(k)
+    here, up = np.flatnonzero(f.dims == k), np.flatnonzero(f.dims == k + 1)
+    indptr, cofaces = coboundary(f, k)
     # clearing: the only paired k-simplices are deaths one dimension down,
     # whose cocolumns reduce to 0; an empty cocolumn pairs nothing
     cleared = int(paired[here].sum())
     members = np.flatnonzero(~paired[here] & (np.diff(indptr) > 0))
     pivots = cofaces[indptr[members]]
     # apparent pairs: sigma's pivot tau, whose youngest facet is sigma
-    apparent = bm.facets[k + 1][:, 0].copy()  # each tau's youngest facet
-    for column in bm.facets[k + 1].T[1:]:
+    apparent = f.facets[k + 1][:, 0].copy()  # each tau's youngest facet
+    for column in f.facets[k + 1].T[1:]:
         np.maximum(apparent, column, out=apparent)
     rest = apparent[pivots] != members
     apparent.fill(-1)  # from here on, the sigma of tau's apparent pair, or -1
@@ -216,18 +216,17 @@ def intervals(
         raise InputError(f"min_length must be nonnegative, got {min_length}")
     if f.max_dim < 1:
         raise InputError("max_dim (--max-dim) must be at least 1: bars stop below it")
-    bm = build_boundary_matrix(f)
-    pairing = reduce(bm)
+    pairing = reduce(f)
     pairs = pairing.pairs
     # a pair is born below the top dimension, whose simplices have no
     # cofaces; an unpaired top simplex is a cycle of the cut-off skeleton
-    unpaired = pairing.unpaired[bm.dims[pairing.unpaired] < f.max_dim]
+    unpaired = pairing.unpaired[f.dims[pairing.unpaired] < f.max_dim]
     first = np.concatenate([pairs[:, 0], unpaired])
-    birth = bm.births[first]
-    death = np.concatenate([bm.births[pairs[:, 1]], np.full(len(first) - len(pairs), math.inf)])
+    birth = f.births[first]
+    death = np.concatenate([f.births[pairs[:, 1]], np.full(len(first) - len(pairs), math.inf)])
     length = death - birth
     kept = (length > min_length) | (keep_zero & (length == 0.0)) | np.isinf(death)
-    return Barcode._from_arrays(bm.dims[first[kept]], birth[kept], death[kept], f.eps_max)
+    return Barcode._from_arrays(f.dims[first[kept]], birth[kept], death[kept], f.eps_max)
 
 
 def betti_curve(b: Barcode, eps: float, max_k: int | None = None) -> list[int]:

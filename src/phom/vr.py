@@ -10,11 +10,11 @@ everywhere.
 
 A filtration is a few packed numpy arrays, not a Python object per
 simplex: per dimension, each simplex's facets as int32 positions among
-the simplices one dimension down, which is all the boundary operator
-reads, and over all simplices a float64 births array and an int8 dims
-array, everything in filtration order. ``build_vr`` grows cliques by
-joining siblings (Zomorodian 2010) and records each simplex's facets as
-it is made, so no simplex is ever looked up by its vertices.
+the simplices one dimension down, the boundary operator over GF(2),
+and over all simplices a float64 births array and an int8 dims array,
+everything in filtration order. ``build_vr`` grows cliques by joining
+siblings (Zomorodian 2010) and records each simplex's facets as it is
+made, so no simplex is ever looked up by its vertices.
 """
 
 from __future__ import annotations
@@ -74,6 +74,10 @@ class Filtration:
     the facet of the j-th k-simplex that omits its i-th vertex. Vertices
     have no facets, and the j-th 0-simplex is vertex j. ``births`` and
     ``dims`` run over all simplices. The arrays are read-only.
+
+    A facet index outside the dimension below means the filtration is not
+    face-closed, which build_vr can never produce; that is an internal
+    invariant violation, not bad input, hence RuntimeError.
     """
 
     facets: tuple  # facets[k]: int32 array of shape (n_k, k + 1), k = 0..max_dim
@@ -85,11 +89,20 @@ class Filtration:
     max_dim: int
 
     def __post_init__(self):
+        for k in range(1, len(self.facets)):
+            below, facets = len(self.facets[k - 1]), self.facets[k]
+            if facets.size and not 0 <= facets.min() <= facets.max() < below:
+                raise RuntimeError(f"face closure violated: {k}-simplex facet outside [0, {below})")
         for a in (*self.facets, self.births, self.dims):
             a.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.births)
+
+    @property
+    def n_columns(self) -> int:
+        """The boundary operator's column count, one per simplex: len(self)."""
+        return len(self)
 
     def counts_by_dim(self) -> dict[int, int]:
         return {k: len(r) for k, r in enumerate(self.facets) if len(r)}

@@ -154,6 +154,20 @@ def boundary_columns(pairs):
     return tuple(columns)
 
 
+def facet_columns(f):
+    """Every boundary column of a filtration, the filtration indices of one
+    simplex's facets ascending, as a tuple of ints, read from its packed
+    facets and dims arrays; ``boundary_columns`` finds the same columns
+    through a dictionary over vertex tuples."""
+    columns = [()] * len(f.dims)
+    for k in range(1, len(f.facets)):
+        below = np.flatnonzero(f.dims == k - 1)
+        rows = np.sort(below[f.facets[k]], axis=1).tolist()
+        for j, row in zip(np.flatnonzero(f.dims == k).tolist(), rows):
+            columns[j] = tuple(row)
+    return tuple(columns)
+
+
 def brute_force_vr(points, eps, max_dim, rule="paper-2eps", entries=None):
     """All vertex subsets passing the max-pairwise-distance rule, as a
     dict {vertex tuple: birth}. Distances come from math.dist, or from the

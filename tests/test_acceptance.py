@@ -33,6 +33,7 @@ from oracles import (
     cubic_eigenvalues,
     dense_betti,
     euler_characteristic_from_counts,
+    facet_columns,
     facets,
     fully_connected_eps,
     prefix_length,
@@ -283,7 +284,7 @@ MSD2_MAX_COLUMN_ADDITIONS = 296_000
 
 
 def test_reduction_work_msd2(msd2_filtration):
-    pairing = phom.reduce(phom.build_boundary_matrix(msd2_filtration))
+    pairing = phom.reduce(msd2_filtration)
     ok = pairing.column_additions <= MSD2_MAX_COLUMN_ADDITIONS
     say(
         f"[reduction] k2=1e4 mode 2: {pairing.column_additions} column additions "
@@ -303,7 +304,7 @@ def test_apparent_pairs_latlon():
     # the 20x10 raw grid at its tabulated scale, as the lat-lon benchmark runs it
     raw = phom.gen_sphere_latlon(20, 10, include_u_endpoint=True, dedupe=False)
     f = phom.build_vr(phom.distance_matrix(raw), LATLON_EPS, 3, edge_rule=DIAMETER_EPS)
-    pairing = phom.reduce(phom.build_boundary_matrix(f))
+    pairing = phom.reduce(f)
     say(
         f"[reduction] latlon 20x10 raw grid: {pairing.apparent_pairs} of "
         f"{len(pairing.pairs)} pairs apparent"
@@ -337,28 +338,6 @@ def test_budget_estimate_covers_peak_memory():
     assert per_simplex <= limit
 
 
-def test_boundary_matrix_stores_nothing(msd_clouds):
-    # the boundary matrix shares the filtration's facet arrays, and
-    # coboundary rows are made only while reduce needs them: it keeps no
-    # array of its own, against 25 B per simplex when it held every row
-    dm = phom.distance_matrix(msd_clouds[(10000.0, 3)])
-    f = phom.build_vr(dm, 0.31, 4, edge_rule=DIAMETER_EPS)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        bm = phom.build_boundary_matrix(f)
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    say(
-        f"[budget] k2=1e4 mode 3: build_boundary_matrix keeps {kept} B "
-        f"over {bm.n_columns} simplices (limit 1024 B): "
-        + ("PASS" if kept <= 1024 else "FAIL")
-    )
-    assert bm.n_columns == 93917
-    assert kept <= 1024
-
-
 def test_reduce_peak_memory(msd_clouds):
     # reduce makes one dimension's coboundary rows at a time, keeps only a
     # bool array across dimensions and drops each dimension's rows and
@@ -369,21 +348,21 @@ def test_reduce_peak_memory(msd_clouds):
     # apparent pairs too and 117 B when one map held the pairs of every
     # dimension and the rows of every dimension were built beforehand
     dm = phom.distance_matrix(msd_clouds[(10000.0, 3)])
-    bm = phom.build_boundary_matrix(phom.build_vr(dm, 0.31, 4, edge_rule=DIAMETER_EPS))
+    f = phom.build_vr(dm, 0.31, 4, edge_rule=DIAMETER_EPS)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        phom.reduce(bm)
+        phom.reduce(f)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    per_simplex = peak / bm.n_columns
+    per_simplex = peak / len(f)
     say(
         f"[budget] k2=1e4 mode 3: reduce peaks {per_simplex:.1f} B per simplex "
-        f"above its input over {bm.n_columns} simplices (limit 56 B): "
+        f"above its input over {len(f)} simplices (limit 56 B): "
         + ("PASS" if per_simplex <= 56 else "FAIL")
     )
-    assert bm.n_columns == 93917
+    assert len(f) == 93917
     assert per_simplex <= 56
 
 
@@ -452,16 +431,16 @@ def test_criterion_5a_boundary_squared_exhaustive():
     f = phom.build_vr(dm, fully_connected_eps(dm.entries, PAPER_2EPS), 5)
     assert len(f) == 2**6 - 1
     pairs = simplices(f)
-    bm = phom.build_boundary_matrix(f)
-    for (s, _), column in zip(pairs, bm.columns):
+    columns = facet_columns(f)
+    for (s, _), column in zip(pairs, columns):
         assert sorted(pairs[i][0] for i in column) == sorted(facets(s))
-    d = np.zeros((bm.n_columns, bm.n_columns), dtype=np.int64)
-    for j, column in enumerate(bm.columns):
+    d = np.zeros((len(f), len(f)), dtype=np.int64)
+    for j, column in enumerate(columns):
         d[list(column), j] = 1
     assert d.any() and not ((d @ d) % 2).any()
     say(
         f"[criterion 5] boundary-squared zero on {checked} signed simplices to "
-        f"dim 5, and on the package's {bm.n_columns}-column boundary matrix of "
+        f"dim 5, and on the package's {len(f)}-column boundary operator of "
         f"the 5-simplex ({time.perf_counter() - t0:.1f}s): PASS"
     )
 

@@ -13,11 +13,11 @@ from phom import (
     InputError,
     PointCloud,
     betti_numbers,
-    build_boundary_matrix,
     build_vr,
     distance_matrix,
     gen_sphere_latlon,
 )
+from phom.homology import coboundary
 from oracles import (
     SignedChain,
     boundary_columns,
@@ -26,6 +26,7 @@ from oracles import (
     component_count,
     dense_betti,
     euler_characteristic_from_counts,
+    facet_columns,
     prefix_length,
     simplices,
 )
@@ -45,8 +46,9 @@ def test_oracles_import_nothing_from_phom():
 
 
 def test_package_layering():
-    # persistence builds on vr and homology, never the other way round,
-    # and every import sits at module level where the dependency shows
+    # persistence builds on vr and on homology's coboundary operator, never
+    # the other way round, and every import sits at module level where the
+    # dependency shows
     src = pathlib.Path(__file__).parents[1] / "src" / "phom"
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 5
@@ -147,42 +149,41 @@ def test_signed_chain_algebra():
 
 def test_boundary_matrix_single_edge():
     dm = distance_matrix(PointCloud([[0.0], [1.0]]))
-    bm = build_boundary_matrix(build_vr(dm, 1.0, 1))
-    assert bm.columns == ((), (), (0, 1))
+    assert facet_columns(build_vr(dm, 1.0, 1)) == ((), (), (0, 1))
 
 
 def test_boundary_matrix_filled_triangle():
     pts = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    bm = build_boundary_matrix(build_vr(distance_matrix(pts), 1.0, 2))
-    assert bm.n_columns == 7
-    assert len(bm.columns[6]) == 3  # the triangle has k+1 = 3 facets
+    f = build_vr(distance_matrix(pts), 1.0, 2)
+    assert len(f) == 7
+    assert len(facet_columns(f)[6]) == 3  # the triangle has k+1 = 3 facets
 
 
 def test_boundary_matrix_panics_on_missing_face():
     # a filtration missing a face is an internal invariant violation,
-    # not user input, so it surfaces as a plain RuntimeError
+    # not user input, so it surfaces as a plain RuntimeError as soon as
+    # the filtration is made
     from phom import Filtration
 
     # the triangle's facet 0 points one past the last edge
-    broken = Filtration(
-        facets=(
-            np.empty((3, 0), dtype=np.int32),
-            np.array([[1, 0], [2, 0]], dtype=np.int32),
-            np.array([[2, 1, 0]], dtype=np.int32),
-        ),
-        births=np.array([0.0, 0.0, 0.0, 0.5, 0.5, 1.0]),
-        dims=np.array([0, 0, 0, 1, 1, 2], dtype=np.int8),
-        eps_max=1.0,
-        max_dim=2,
-    )
     with pytest.raises(RuntimeError):
-        build_boundary_matrix(broken)
+        Filtration(
+            facets=(
+                np.empty((3, 0), dtype=np.int32),
+                np.array([[1, 0], [2, 0]], dtype=np.int32),
+                np.array([[2, 1, 0]], dtype=np.int32),
+            ),
+            births=np.array([0.0, 0.0, 0.0, 0.5, 0.5, 1.0]),
+            dims=np.array([0, 0, 0, 1, 1, 2], dtype=np.int8),
+            eps_max=1.0,
+            max_dim=2,
+        )
 
 
 def test_boundary_matrix_matches_dict_oracle(monkeypatch):
     # build_vr records facets as it grows cliques; the oracle finds them by
-    # a dictionary over vertex tuples. The boundary matrix shares the
-    # filtration's facet arrays, and each dimension's coboundary rows, each
+    # a dictionary over vertex tuples. The filtration's facet arrays are
+    # the boundary operator, and each dimension's coboundary rows, each
     # ascending, must be the transpose of the oracle's columns, with each
     # coface given as its position among the (k + 1)-simplices, on random
     # clouds, on a grid with duplicate points and on a complex that empties
@@ -209,15 +210,13 @@ def test_boundary_matrix_matches_dict_oracle(monkeypatch):
             if cloud is sparse:
                 assert f.counts_by_dim() == {0: 6, 1: 5, 2: 1}
             pairs = simplices(f)
-            bm = build_boundary_matrix(f)
             columns = boundary_columns(pairs)
             rows = [[] for _ in columns]
             for j, col in enumerate(columns):
                 for i in col:
                     rows[i].append(j)
-            assert all(bm.facets[k] is f.facets[k] for k in range(max_dim + 1))
             for k in range(max_dim):
-                indptr, cofaces = bm.coboundary(k)
+                indptr, cofaces = coboundary(f, k)
                 here = [i for i, (s, _) in enumerate(pairs) if len(s) == k + 1]
                 up = [i for i, (s, _) in enumerate(pairs) if len(s) == k + 2]
                 assert indptr.dtype == np.int64 and cofaces.dtype == np.int32
@@ -225,18 +224,18 @@ def test_boundary_matrix_matches_dict_oracle(monkeypatch):
                 got = [cofaces[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
                 assert all(r == sorted(r) for r in got)
                 assert [[up[j] for j in r] for r in got] == [rows[i] for i in here]
-            assert bm.columns == columns
-            assert bm.births.tolist() == [b for _, b in pairs]
-            assert bm.dims.tolist() == [len(s) - 1 for s, _ in pairs]
+            assert facet_columns(f) == columns
+            assert f.births.tolist() == [b for _, b in pairs]
+            assert f.dims.tolist() == [len(s) - 1 for s, _ in pairs]
 
 
 def test_boundary_matrix_entries_precede_column():
     rng = np.random.default_rng(4)
     dm = distance_matrix(PointCloud(rng.normal(size=(15, 3))))
-    bm = build_boundary_matrix(build_vr(dm, 0.8, 3))
-    for j, col in enumerate(bm.columns):
+    f = build_vr(dm, 0.8, 3)
+    for j, col in enumerate(facet_columns(f)):
         assert all(i < j for i in col)
-        k = bm.dims[j]
+        k = f.dims[j]
         assert len(col) == (0 if k == 0 else k + 1)
 
 
@@ -245,12 +244,12 @@ def test_boundary_matrix_gf2_product_is_zero():
     rng = np.random.default_rng(12)
     dm = distance_matrix(PointCloud(rng.normal(size=(10, 2))))
     f = build_vr(dm, 0.9, 3)
-    bm = build_boundary_matrix(f)
-    assert bm.n_columns <= 200
-    for j, col in enumerate(bm.columns):
+    columns = facet_columns(f)
+    assert len(f) <= 200
+    for j, col in enumerate(columns):
         acc: set = set()
         for i in col:
-            acc ^= set(bm.columns[i])
+            acc ^= set(columns[i])
         assert not acc
 
 

@@ -11,7 +11,6 @@ from phom import (
     PersistenceInterval,
     PointCloud,
     betti_curve,
-    build_boundary_matrix,
     build_vr,
     distance_matrix,
     gen_fibonacci_sphere,
@@ -24,6 +23,7 @@ from phom import (
 from oracles import (
     apparent_pairs,
     dense_betti,
+    facet_columns,
     left_to_right_pairing,
     prefix_length,
     simplices,
@@ -46,14 +46,12 @@ def test_interval_validation():
 
 
 def test_reduce_single_vertex():
-    bm = build_boundary_matrix(make_filtration([[0.0]], 1.0, 0))
-    pairing = reduce(bm)
+    pairing = reduce(make_filtration([[0.0]], 1.0, 0))
     assert pairing.pairs.tolist() == [] and pairing.unpaired.tolist() == [0]
 
 
 def test_reduce_two_vertices_one_edge():
-    bm = build_boundary_matrix(make_filtration([[0.0], [1.0]], 1.0, 1))
-    pairing = reduce(bm)
+    pairing = reduce(make_filtration([[0.0], [1.0]], 1.0, 1))
     # the later vertex dies when the edge arrives; the earlier survives
     assert pairing.pairs.tolist() == [[1, 2]]
     assert pairing.unpaired.tolist() == [0]
@@ -61,11 +59,11 @@ def test_reduce_two_vertices_one_edge():
 
 def test_reduce_filled_triangle():
     pts = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]
-    bm = build_boundary_matrix(make_filtration(pts, 1.0, 2))
-    pairing = reduce(bm)
+    f = make_filtration(pts, 1.0, 2)
+    pairing = reduce(f)
     assert len(pairing.pairs) == 3  # (v,e) x2 and (e,t)
     assert pairing.unpaired.tolist() == [0]
-    dims = [(bm.dims[i], bm.dims[j]) for i, j in pairing.pairs]
+    dims = [(f.dims[i], f.dims[j]) for i, j in pairing.pairs]
     assert dims.count((0, 1)) == 2 and dims.count((1, 2)) == 1
 
 
@@ -73,9 +71,9 @@ def test_reduce_conservation():
     rng = np.random.default_rng(17)
     for _ in range(10):
         pts = rng.uniform(size=(int(rng.integers(3, 12)), 2))
-        bm = build_boundary_matrix(make_filtration(pts, 1.2, 3))
-        pairing = reduce(bm)
-        assert 2 * len(pairing.pairs) + len(pairing.unpaired) == bm.n_columns
+        f = make_filtration(pts, 1.2, 3)
+        pairing = reduce(f)
+        assert 2 * len(pairing.pairs) + len(pairing.unpaired) == len(f)
 
 
 def test_reduce_strategies_agree():
@@ -99,9 +97,8 @@ def test_reduce_strategies_agree():
     # stays unpaired at the top dimension
     cases.append(make_filtration(np.eye(5), 1.0, 3))
     for f in cases:
-        bm = build_boundary_matrix(f)
-        pairing = reduce(bm)
-        columns = bm.columns
+        pairing = reduce(f)
+        columns = facet_columns(f)
         pairs, unpaired = left_to_right_pairing(columns)
         assert pairing.pairs.tolist() == [list(p) for p in pairs]
         assert pairing.unpaired.tolist() == list(unpaired)
@@ -110,19 +107,19 @@ def test_reduce_strategies_agree():
         assert pairing.apparent_pairs == len(apparent)
         assert apparent <= set(pairs)
         # every death below the top is met again one dimension up, and cleared
-        deaths_below_top = np.count_nonzero(bm.dims[pairing.pairs[:, 1]] < f.max_dim)
+        deaths_below_top = np.count_nonzero(f.dims[pairing.pairs[:, 1]] < f.max_dim)
         assert pairing.cleared_columns == deaths_below_top
-    assert bm.dims[pairing.unpaired].tolist() == [0, 3]
+    assert f.dims[pairing.unpaired].tolist() == [0, 3]
 
 
 def test_reduce_returns_packed_arrays():
     # the 3-skeleton of the 4-simplex: 30 simplices, 14 pairs, 2 unpaired
-    pairing = reduce(build_boundary_matrix(make_filtration(np.eye(5), 1.0, 3)))
+    pairing = reduce(make_filtration(np.eye(5), 1.0, 3))
     assert pairing.pairs.dtype == np.int64 and pairing.pairs.shape == (14, 2)
     assert pairing.unpaired.dtype == np.int64 and pairing.unpaired.shape == (2,)
     assert np.all(np.diff(pairing.pairs[:, 0]) > 0)
     # an empty pairing keeps its shape
-    empty = reduce(build_boundary_matrix(make_filtration([[0.0]], 1.0, 0)))
+    empty = reduce(make_filtration([[0.0]], 1.0, 0))
     assert empty.pairs.dtype == np.int64 and empty.pairs.shape == (0, 2)
 
 
