@@ -338,7 +338,7 @@ def gen_msd_manifold(cfg: MsdConfig, embed: str = "eigenvalue") -> PointCloud:
 
 # --- plain-text config files (`name = value`, one per line) ---
 
-_INT_FIELDS = {"t_divs", "alpha_divs", "d_divs", "mode_index"}
+_INT_FIELDS = {f.name for f in fields(MsdConfig) if f.type == "int"}  # annotations are strings
 _FIELD_NAMES = [f.name for f in fields(MsdConfig)]
 
 

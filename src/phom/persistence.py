@@ -21,8 +21,9 @@ about 3% of them on the reference complexes. No cocolumn reduced before
 sigma's turn holds tau, as each sums coboundaries of simplices younger
 than every facet of tau, so entering the pair early changes nothing.
 Only a bool array of the simplices paired so far outlives a dimension;
-its rows, owners and reduced cocolumns go when it ends. The test suite
-checks the pairing bit for bit against the left-to-right reduction.
+its rows, its one owner array of apparent and reduced pivots alike and
+its reduced cocolumns go when it ends. The test suite checks the
+pairing bit for bit against the left-to-right reduction.
 
 Top-dimension simplices have no cofaces in the filtration, so they are
 never reduced and nothing could kill a top-dimension cycle: its bar is an
@@ -154,7 +155,8 @@ def reduce(f: Filtration) -> Pairing:
 def _reduce_dimension(f: Filtration, k: int, paired: np.ndarray) -> tuple:
     """Reduce dimension k: its (k-simplex, (k + 1)-simplex) pairs, also
     marked in ``paired``, and its column additions, cleared columns and
-    apparent pairs. Its rows, owners and reduced cocolumns go on return."""
+    apparent pairs. Its rows, its owner array (each (k + 1)-simplex's
+    cocolumn, -1 if none) and its reduced cocolumns go on return."""
     # the dimension's rows; members and owners are positions among the
     # k-simplices, pivots and cofaces among the (k + 1)-simplices
     here, up = np.flatnonzero(f.dims == k), np.flatnonzero(f.dims == k + 1)
@@ -165,23 +167,22 @@ def _reduce_dimension(f: Filtration, k: int, paired: np.ndarray) -> tuple:
     members = np.flatnonzero(~paired[here] & (np.diff(indptr) > 0))
     pivots = cofaces[indptr[members]]
     # apparent pairs: sigma's pivot tau, whose youngest facet is sigma
-    apparent = f.facets[k + 1][:, 0].copy()  # each tau's youngest facet
+    owner = f.facets[k + 1][:, 0].copy()  # each tau's youngest facet
     for column in f.facets[k + 1].T[1:]:
-        np.maximum(apparent, column, out=apparent)
-    rest = apparent[pivots] != members
-    apparent.fill(-1)  # from here on, the sigma of tau's apparent pair, or -1
-    apparent[pivots[~rest]] = members[~rest]
+        np.maximum(owner, column, out=owner)
+    rest = owner[pivots] != members
+    owner.fill(-1)  # from here on, the cocolumn whose pivot is tau, or -1
+    owner[pivots[~rest]] = members[~rest]
     apparent_pairs = int(np.count_nonzero(~rest))
     members, pivots = members[rest][::-1], pivots[rest][::-1]
-    owner: dict[int, int] = {}  # the loop's own pivots -> the cocolumn holding each
     reduced: dict[int, set] = {}  # cocolumns that differ from their original
     additions = 0
     for i, pivot in zip(members.tolist(), pivots.tolist()):
-        if pivot in owner or apparent.item(pivot) >= 0:
+        if owner.item(pivot) >= 0:
             col = set(cofaces[indptr[i] : indptr[i + 1]].tolist())
             while col:
                 pivot = min(col)
-                o = owner.get(pivot, apparent.item(pivot))
+                o = owner.item(pivot)
                 if o < 0:
                     break
                 other = reduced.get(o)
@@ -193,9 +194,8 @@ def _reduce_dimension(f: Filtration, k: int, paired: np.ndarray) -> tuple:
                 continue
             reduced[i] = col
         owner[pivot] = i
-    apparent[list(owner)] = list(owner.values())  # now every pivot's owner
-    deaths = np.flatnonzero(apparent >= 0)
-    pairs = np.column_stack([here[apparent[deaths]], up[deaths]])
+    deaths = np.flatnonzero(owner >= 0)
+    pairs = np.column_stack([here[owner[deaths]], up[deaths]])
     paired[pairs] = True
     return pairs, additions, cleared, apparent_pairs
 

@@ -27,8 +27,6 @@ def _color(dim: int) -> str:
 
 def _ticks(limit: float) -> list[float]:
     """Five evenly spaced axis ticks from 0 to limit."""
-    if limit <= 0.0:
-        return [0.0]
     return [limit * i / 4 for i in range(5)]
 
 

@@ -52,9 +52,9 @@ if _sparse is None:
 _BLOCK_CELLS = 1 << 15
 
 # bytes per cell when every cell is negative: the fill keeps 12 (value and
-# column), and the solve peaks at 39.0-39.5 (tracemalloc, 200 x 200 to
+# column), and the solve peaks at 27.0-27.1 (tracemalloc, 600 x 500 to
 # 2,500 x 2,500 bars) in its graph and scipy's copies of it
-_BYTES_PER_CELL = 40
+_BYTES_PER_CELL = 28
 
 
 @dataclass
@@ -64,8 +64,9 @@ class MatchingProblem:
     ``left`` and ``right`` are barcodes of finite intervals that share one
     dimension. Costs are raised to the power p, so the solved objective is
     the inner sum of the Wasserstein formula restricted to this dimension.
-    ``cost`` holds min(r, 0) as an n x m scipy.sparse.csr_array that
-    stores only the cells with r < 0, and ``diagonal`` each side's delta.
+    ``cost`` is the n x (m + n) csr_array the solve hands to scipy: row i
+    stores min(r, 0) at the columns j < m where r < 0, then column m + i,
+    left bar i's diagonal. ``diagonal`` holds each side's delta.
     """
 
     left: Barcode
@@ -86,17 +87,24 @@ class MatchingProblem:
             raise InputError("matching problems hold finite intervals only")
         self.diagonal = tuple(((b.deaths - b.births) / 2.0) ** p for b in (left, right))
         # count each row's negative cells, then compute the blocks again
-        # to store them, so the arrays are made once at their final size
+        # to store them, so the arrays are made once at their final size;
+        # each row ends in its diagonal column m + i, whose weight is the
+        # smallest positive float: LAPJVsp drops explicit zeros, and this
+        # weight leaves every real one, and so the optimal matchings, as is
         blocks = self._reduced_costs
-        counts = [np.count_nonzero(block < 0.0, axis=1) for _, _, block in blocks()]
+        counts = [np.count_nonzero(block < 0.0, axis=1) + 1 for _, _, block in blocks()]
         indptr = np.concatenate([[0], *counts]).cumsum(dtype=np.int32)
         data, columns = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+        ends = indptr[1:] - 1  # each row's diagonal slot
+        data[ends], columns[ends] = np.nextafter(0.0, 1.0), np.arange(m, m + n)
         for lo, hi, block in blocks():
             kept = np.flatnonzero(block < 0.0)
             rows = slice(indptr[lo], indptr[hi])
-            data[rows] = block.ravel()[kept]
-            columns[rows] = kept % m
-        self.cost = _sparse.csr_array((data, columns, indptr), shape=(n, m))
+            cells = np.ones(indptr[hi] - indptr[lo], dtype=bool)  # the block's real slots
+            cells[ends[lo:hi] - indptr[lo]] = False
+            data[rows][cells] = block.ravel()[kept]
+            columns[rows][cells] = kept % m
+        self.cost = _sparse.csr_array((data, columns, indptr), shape=(n, m + n))
 
     def _reduced_costs(self):
         """Yield (lo, hi, block) with block[i, j] = r(left[lo + i], right[j])
@@ -121,16 +129,10 @@ class MatchingProblem:
     def solve(self) -> float:
         """Minimal total p-th-power cost over all partial matchings."""
         left_diag, right_diag = self.diagonal
-        n, m = self.cost.shape
+        n, m = len(left_diag), len(right_diag)
         if not (n and m):
             return float(left_diag.sum() + right_diag.sum())
-        # column m + i sends left bar i to the diagonal; LAPJVsp drops
-        # explicit zeros, and the smallest positive float as its weight
-        # leaves every real weight, and so the optimal matchings, as they are
-        weights, at = np.full(n, np.nextafter(0.0, 1.0)), np.arange(n + 1, dtype=np.int32)
-        diagonal = _sparse.csr_array((weights, at[:-1], at), shape=(n, n))
-        graph = _sparse.hstack([self.cost, diagonal], format="csr")
-        rows, cols = _sparse.csgraph.min_weight_full_bipartite_matching(graph)
+        rows, cols = _sparse.csgraph.min_weight_full_bipartite_matching(self.cost)
         real = cols < m
         rows, cols = rows[real], cols[real]
         left, right = self.left, self.right

@@ -285,6 +285,8 @@ def test_config_file_round_trip(tmp_path):
         warnings.simplefilter("ignore")
         again = read_msd_config(path)
     assert again == cfg
+    # every field is parsed as its annotated type, not only to an equal value
+    assert [type(v) for v in vars(again).values()] == [type(v) for v in vars(cfg).values()]
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

@@ -6,9 +6,22 @@ on fails here rather than only in a traced benchmark run."""
 import importlib.util
 import pathlib
 
+import numpy as np
+
 import phom
 import phom.persistence
-from phom import DIAMETER_EPS, build_vr, distance_matrix, intervals, read_point_csv, reduce
+import phom.wasserstein
+from phom import (
+    DIAMETER_EPS,
+    MatchingProblem,
+    build_vr,
+    distance_matrix,
+    intervals,
+    read_barcode_csv,
+    read_point_csv,
+    reduce,
+    wasserstein_p,
+)
 from phom.cli import main
 
 TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
@@ -70,3 +83,32 @@ def test_tracer_counts_betti_job(tmp_path, capsys):
     check_counts(counts, f)
     betti = phom.betti_numbers(f, EPS, MAX_DIM - 1)
     assert capsys.readouterr().out.strip() == "[" + ",".join(map(str, betti)) + "]"
+
+
+def test_tracer_counts_compare_job(tmp_path, capsys, monkeypatch):
+    # the tracer subclasses MatchingProblem and counts each cost's cells
+    rng = np.random.default_rng(7)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, n in zip(paths, (40, 35)):
+        rows = ["dim,birth,death", "0,0,inf"]
+        bars = zip(rng.integers(0, 2, n), rng.uniform(0, 1, n), rng.uniform(0, 0.5, n))
+        rows += [f"{dim},{birth:.9g},{birth + length:.9g}" for dim, birth, length in bars]
+        path.write_text("\n".join(rows) + "\n")
+    tracer = load_tracing().Tracer()
+    code, counts = tracer.run_job(0, lambda: main(["compare", *map(str, paths), "--p", "2"]))
+    assert code == 0
+    assert set(tracer.missing) <= RETIRED_HOOKS
+    assert phom.wasserstein.MatchingProblem is MatchingProblem
+    left, right = map(read_barcode_csv, paths)
+    assert capsys.readouterr().out == f"d_Wp = {wasserstein_p(left, right, 2.0):.5g}\n"
+    sizes = []
+
+    class Recorded(MatchingProblem):
+        def __post_init__(self):
+            super().__post_init__()
+            sizes.append(self.cost.size)
+
+    monkeypatch.setattr(phom.wasserstein, "MatchingProblem", Recorded)
+    wasserstein_p(left, right, 2.0)
+    assert len(sizes) == 2  # one problem per dimension
+    assert counts["wasserstein.cost_cells"] == sum(sizes)

@@ -77,7 +77,7 @@ def test_matching_problem_pair_cost_cells():
     left = bc(iv(0, 0, 1), iv(0, 0, 1), *random_finite(rng, 0, 30))
     right = bc(iv(0, 0, 1), iv(0, 0, 2), *random_finite(rng, 0, 25))
     for p in (1.0, 2.0):
-        cost = MatchingProblem(left, right, p).cost.toarray()
+        cost = MatchingProblem(left, right, p).cost.toarray()[:, : len(right)]
         for i, a in enumerate(left):
             for j, b in enumerate(right):
                 assert_reduced_cell(cost[i, j], (a.birth, a.death), (b.birth, b.death), p)
@@ -121,7 +121,7 @@ def test_matching_problem_diagonal_cost_cells(monkeypatch):
 def test_matching_problem_cost_fill_memory():
     # the fill works one row block at a time and stores the negative
     # cells in arrays made at their final size: nothing n x m is allocated,
-    # and nothing beyond the sparse cost but two scratch blocks
+    # and nothing beyond the sparse graph but two scratch blocks
     rng = np.random.default_rng(11)
     left, right = random_finite(rng, 1, 1500), random_finite(rng, 1, 1462)
     MatchingProblem(left[:2], right[:2], 2.0)  # scipy.sparse loaded already
@@ -132,7 +132,7 @@ def test_matching_problem_cost_fill_memory():
     finally:
         tracemalloc.stop()
     cost = prob.cost
-    assert cost.shape == (1500, 1462)
+    assert cost.shape == (1500, 1500 + 1462)
     assert peak <= cost.data.nbytes + cost.indices.nbytes + cost.indptr.nbytes + 2**20
 
 
@@ -164,15 +164,16 @@ def test_matching_problem_cost_matrix_shape():
     for n, m in ((2, 1), (1, 2), (7, 7), (0, 3), (3, 0)):
         left, right = random_finite(rng, 0, n), random_finite(rng, 0, m)
         prob = MatchingProblem(left, right, 2.0)
-        # no diagonal rows or columns, and no cell a matching would avoid
-        assert prob.cost.shape == (n, m)
-        assert np.all(prob.cost.data < 0.0)
+        # one diagonal column per left bar, and no real cell a matching
+        # would avoid
+        assert prob.cost.shape == (n, n + m)
+        assert np.all(prob.cost.data[prob.cost.indices < m] < 0.0)
 
 
 def test_matching_problem_hands_scipy_the_improving_pairs(monkeypatch):
-    # the solver gets n rows and m + n columns: the stored cells, every one
-    # negative, and then column m + i alone, with the smallest positive
-    # weight, for sending left bar i to the diagonal
+    # the solver gets the cost itself, n rows and m + n columns: the
+    # stored cells, every one negative, and then column m + i alone, with
+    # the smallest positive weight, for sending left bar i to the diagonal
     import scipy.sparse.csgraph
 
     seen = []
@@ -189,17 +190,18 @@ def test_matching_problem_hands_scipy_the_improving_pairs(monkeypatch):
     for p in (1.0, 2.0, 3.0):
         tall, wide = MatchingProblem(left, right, p), MatchingProblem(right, left, p)
         for prob in (tall, wide):
-            n, m = prob.cost.shape
+            n, m = len(prob.left), len(prob.right)
             dense = dense_reduced_costs(prob.left, prob.right, p)
-            assert np.array_equal(prob.cost.toarray(), dense)
+            assert np.array_equal(prob.cost.toarray()[:, :m], dense)
             seen.clear()
             prob.solve()
             (graph,) = seen
+            assert graph is prob.cost
             assert graph.shape == (n, m + n)
             assert np.array_equal(graph.toarray()[:, :m], dense)
             assert np.all(graph.data[graph.indices < m] < 0.0)
             assert np.array_equal(graph.toarray()[:, m:], np.diag(np.full(n, tiny)))
-        assert tall.cost.shape == (40, 25)
+        assert tall.cost.shape == (40, 25 + 40)
         assert math.isclose(tall.solve(), wide.solve(), rel_tol=1e-12)
 
 
@@ -221,7 +223,7 @@ def test_matching_problem_memory_per_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prob.cost.size == 600 * 500
+    assert prob.cost.size == 600 * 500 + 600
     assert peak <= w._BYTES_PER_CELL * 600 * 500
 
 
@@ -266,7 +268,8 @@ def test_wasserstein_matches_dense_oracle_bit_for_bit():
         for k in (0, 1):
             left, right = (x[(x.dims == k) & np.isfinite(x.deaths)] for x in (a, b))
             prob = MatchingProblem(left, right, 2.0)
-            assert np.array_equal(prob.cost.toarray(), dense_reduced_costs(left, right, 2.0))
+            dense = dense_reduced_costs(left, right, 2.0)
+            assert np.array_equal(prob.cost.toarray()[:, : len(right)], dense)
 
 
 def test_wasserstein_identity_and_symmetry():
