@@ -32,10 +32,11 @@ __all__ = [
 
 GOLDEN_ANGLE = math.pi * (1.0 + math.sqrt(5.0))
 
-# Budget guard: generating peaks (tracemalloc) at 83 B per point on the
-# Fibonacci sphere and 176-184 B on the lat-lon sphere at 10^6 points, and
-# at 198 B on the mass-spring grid at 10^4; one rounded-up cost covers all.
+# Budget guards: generating peaks (tracemalloc) at 83 B per point on the
+# Fibonacci sphere and 176-184 B on the lat-lon sphere at 10^6 points, and at
+# 676-681 B per node on mass-spring grids of 252 to 10^5 nodes, solved at once.
 _BYTES_PER_POINT = 256
+_BYTES_PER_MSD_NODE = 768
 
 
 def gen_sphere_latlon(
@@ -188,116 +189,121 @@ class MsdConfig:
         return replace(self, mode_index=mode_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalResult:
-    """Eigenvalues of M^-1 K sorted ascending, with their square roots.
+    """Eigenvalues of M^-1 K, three per grid node sorted ascending.
 
     ``eigenvalues`` may contain negative entries when the caller allowed an
-    unphysical (negative-stiffness) configuration; ``omegas`` is only
-    defined when all eigenvalues are nonnegative.
+    unphysical (negative-stiffness) configuration; ``omegas``, their square
+    roots, is only defined when all eigenvalues are nonnegative.
     """
 
-    eigenvalues: tuple[float, float, float]
+    eigenvalues: np.ndarray
 
     @property
-    def omegas(self) -> tuple[float, float, float]:
-        if self.eigenvalues[0] < 0.0:
-            raise ComputationError(
-                f"negative eigenvalue {self.eigenvalues[0]:.6g}: no real natural frequency"
-            )
-        return tuple(math.sqrt(v) for v in self.eigenvalues)
+    def omegas(self) -> np.ndarray:
+        low = self.eigenvalues[..., 0]
+        if np.any(low < 0.0):
+            first = low.flat[np.argmax(low < 0.0)]
+            raise ComputationError(f"negative eigenvalue {first:.6g}: no real natural frequency")
+        return np.sqrt(self.eigenvalues)
 
 
-def stiffness_matrix(
-    cfg: MsdConfig, t: float, alpha2: float, d2: float, allow_negative: bool = False
-) -> np.ndarray:
-    """Stiffness matrix of the chain with the softened middle spring.
+def stiffness_matrix(cfg: MsdConfig, t, alpha2, d2, allow_negative: bool = False) -> np.ndarray:
+    """Stiffness matrices of the chain with the softened middle spring.
 
-    Raises InputError when the effective stiffness factor
+    ``t``, ``alpha2`` and ``d2`` broadcast against each other; the result
+    has their shape followed by (3, 3). Raises InputError naming the first
+    node, in row-major order, whose effective stiffness factor
     (1 - alpha2*t)*(1 - d2) is negative, unless ``allow_negative`` is set
     (needed to evaluate the full default grid, whose corner reaches
     factor -1.5).
     """
+    t, alpha2, d2 = np.broadcast_arrays(t, alpha2, d2)
     factor = (1.0 - alpha2 * t) * (1.0 - d2)
-    if factor < 0.0 and not allow_negative:
+    if not allow_negative and np.any(factor < 0.0):
+        i = np.argmax(factor < 0.0)
         raise InputError(
-            f"negative effective stiffness: (1 - {alpha2}*{t})*(1 - {d2}) = {factor:.6g}"
+            f"negative effective stiffness: (1 - {alpha2.flat[i]}*{t.flat[i]})"
+            f"*(1 - {d2.flat[i]}) = {factor.flat[i]:.6g}"
         )
     e = cfg.k2 * factor
-    return np.array(
-        [
-            [cfg.k1 + e, -e, 0.0],
-            [-e, e + cfg.k3, -cfg.k3],
-            [0.0, -cfg.k3, cfg.k3 + cfg.k4],
-        ]
-    )
+    k = np.zeros(e.shape + (3, 3))
+    k[..., 0, 0] = cfg.k1 + e
+    k[..., 0, 1] = k[..., 1, 0] = -e
+    k[..., 1, 1] = e + cfg.k3
+    k[..., 1, 2] = k[..., 2, 1] = -cfg.k3
+    k[..., 2, 2] = cfg.k3 + cfg.k4
+    return k
 
 
 def _jacobi_eigh(a: np.ndarray):
-    """Cyclic Jacobi diagonalization of a small symmetric matrix.
+    """Cyclic Jacobi diagonalization of a stack of symmetric 3x3 matrices.
 
-    Sweeps rotate away each off-diagonal entry in turn until the
-    off-diagonal Frobenius norm drops below 1e-13 relative to the matrix
-    norm, in at most 50 sweeps. Returns (eigenvalues, eigenvectors as
-    columns), unsorted.
+    Sweeps rotate away each off-diagonal entry in turn until a matrix's
+    off-diagonal Frobenius norm drops below 1e-13 relative to its norm,
+    in at most 50 sweeps. Each matrix is frozen once its own test holds
+    and skips each rotation whose entry is already 0, so it goes through
+    the operations it would go through alone. Returns eigenvalues (N, 3)
+    and eigenvectors as columns (N, 3, 3), unsorted.
     """
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    scale = max(1.0, float(np.sqrt(np.sum(a * a))))
+    lams = np.empty(a.shape[:2])
+    vecs = np.empty_like(a)
+    live = np.arange(len(a))
+    v = np.broadcast_to(np.eye(3), a.shape).copy()
+    scale = np.fmax(1.0, np.sqrt(np.sum((a * a).reshape(-1, 9), axis=1)))
     for _ in range(50):
-        off = math.sqrt(sum(a[p, q] ** 2 for p in range(n) for q in range(n) if p != q))
-        if off <= 1e-13 * scale:
-            return np.diagonal(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a[p, q] = a[q, p] = 0.0
-                v = v @ rot
+        # the off-diagonal squares, summed from (0, 1) to (2, 1) in row-major order
+        sq = a[:, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]] ** 2
+        off = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] + sq[:, 4] + sq[:, 5])
+        done = off <= 1e-13 * scale  # nan fails this, so a nan matrix never freezes
+        lams[live[done]] = np.diagonal(a[done], axis1=1, axis2=2)
+        vecs[live[done]] = v[done]
+        live, a, v, scale = live[~done], a[~done], v[~done], scale[~done]
+        if not len(live):
+            return lams, vecs
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            i = np.flatnonzero(a[:, p, q] != 0.0)
+            tau = (a[i, q, q] - a[i, p, p]) / (2.0 * a[i, p, q])
+            t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            t[tau < 0.0] *= -1.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            rot = np.broadcast_to(np.eye(3), (len(i), 3, 3)).copy()
+            rot[:, p, p] = rot[:, q, q] = c
+            rot[:, p, q], rot[:, q, p] = s, -s
+            a[i] = rot.transpose(0, 2, 1) @ a[i] @ rot
+            a[i, p, q] = a[i, q, p] = 0.0
+            v[i] = v[i] @ rot
     raise ComputationError("Jacobi eigensolver did not converge in 50 sweeps")
 
 
-def natural_frequencies(
-    cfg: MsdConfig, t: float, alpha2: float, d2: float, allow_negative: bool = False
-) -> ModalResult:
-    """Eigenvalues of M^-1 K for the chain at one grid point.
+def natural_frequencies(cfg: MsdConfig, t, alpha2, d2, allow_negative: bool = False) -> ModalResult:
+    """Eigenvalues of M^-1 K for the chain at every node of a grid.
 
-    Solved on the symmetrized matrix M^-1/2 K M^-1/2 (similar to M^-1 K,
-    so same spectrum) by cyclic Jacobi rotations. Each eigenpair is
-    verified against the residual bound |M^-1 K x - lam x| <= 1e-9 |K|.
+    ``t``, ``alpha2`` and ``d2`` broadcast as in ``stiffness_matrix``, and
+    the eigenvalues take their shape followed by (3,). Solved on the
+    symmetrized matrices M^-1/2 K M^-1/2 (similar to M^-1 K, so same
+    spectrum) by cyclic Jacobi rotations. Each eigenpair is verified
+    against the residual bound |M^-1 K x - lam x| <= 1e-9 |K|.
     """
     k = stiffness_matrix(cfg, t, alpha2, d2, allow_negative=allow_negative)
     m = np.array([cfg.m1, cfg.m2, cfg.m3])
     inv_sqrt_m = 1.0 / np.sqrt(m)
-    sym = k * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
-    lams, vecs = _jacobi_eigh(sym)
-    order = np.argsort(lams)
-    lams = lams[order]
-    vecs = vecs[:, order]
-    a = k / m[:, None]  # M^-1 K
-    bound = 1e-9 * float(np.sqrt(np.sum(k * k)))
-    for i in range(3):
-        x = inv_sqrt_m * vecs[:, i]
-        x = x / np.sqrt(np.sum(x * x))
-        resid = float(np.sqrt(np.sum((a @ x - lams[i] * x) ** 2)))
-        if resid > bound:
-            raise ComputationError(
-                f"eigenpair residual {resid:.3g} exceeds bound {bound:.3g}"
-            )
-    return ModalResult(eigenvalues=tuple(float(x) for x in lams))
+    lams, vecs = _jacobi_eigh((k * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]).reshape(-1, 3, 3))
+    order = np.argsort(lams, axis=1)
+    lams = np.take_along_axis(lams, order, axis=1)
+    x = inv_sqrt_m[:, None] * np.take_along_axis(vecs, order[:, None, :], axis=2)
+    x = x / np.sqrt(np.sum(x * x, axis=1))[:, None, :]
+    a = k.reshape(-1, 3, 3) / m[:, None]  # M^-1 K
+    resid = np.sqrt(np.sum((a @ x - lams[:, None, :] * x) ** 2, axis=1))
+    bound = 1e-9 * np.sqrt(np.sum((k * k).reshape(-1, 9), axis=1))
+    node, pair = np.nonzero(resid > bound[:, None])
+    if len(node):
+        raise ComputationError(
+            f"eigenpair residual {resid[node[0], pair[0]]:.3g} exceeds bound {bound[node[0]]:.3g}"
+        )
+    return ModalResult(eigenvalues=lams.reshape(k.shape[:-1]))
 
 
 def gen_msd_manifold(cfg: MsdConfig, embed: str = "eigenvalue") -> PointCloud:
@@ -318,21 +324,14 @@ def gen_msd_manifold(cfg: MsdConfig, embed: str = "eigenvalue") -> PointCloud:
     if embed not in ("eigenvalue", "frequency"):
         raise InputError(f"unknown embed choice {embed!r}")
     n = cfg.t_divs * cfg.alpha_divs * cfg.d_divs
-    check_budget(_BYTES_PER_POINT * n, f"a grid of {n} nodes")
+    check_budget(_BYTES_PER_MSD_NODE * n, f"a grid of {n} nodes")
     allow = embed == "eigenvalue"
-    mode = cfg.mode_index - 1
-    rows = []
-    for t in cfg.grid_t():
-        for a in cfg.grid_alpha():
-            for d in cfg.grid_d():
-                modal = natural_frequencies(cfg, t, a, d, allow_negative=allow)
-                value = modal.eigenvalues[mode] if allow else modal.omegas[mode]
-                rows.append((t, a, d, value))
-    coords = np.array(rows, dtype=np.float64)
-    for j in range(coords.shape[1]):
-        top = coords[:, j].max()
-        if top > 0.0:
-            coords[:, j] = coords[:, j] / top
+    grid = np.meshgrid(cfg.grid_t(), cfg.grid_alpha(), cfg.grid_d(), indexing="ij")
+    modal = natural_frequencies(cfg, *grid, allow_negative=allow)
+    value = modal.eigenvalues if allow else modal.omegas
+    coords = np.stack([g.ravel() for g in grid] + [value[..., cfg.mode_index - 1].ravel()], axis=1)
+    top = coords.max(axis=0)
+    np.divide(coords, top, out=coords, where=top > 0.0)
     return PointCloud(coords)
 
 

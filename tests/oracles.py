@@ -313,6 +313,76 @@ def cubic_eigenvalues(matrix):
     return sorted(roots)
 
 
+def jacobi_eigh(a):
+    """Cyclic Jacobi diagonalization of one small symmetric matrix, one
+    rotation at a time: the per-node solver the mass-spring generator ran
+    before it swept whole grids. Returns (eigenvalues, eigenvectors as
+    columns), unsorted."""
+    n = a.shape[0]
+    a = a.copy()
+    v = np.eye(n)
+    scale = max(1.0, float(np.sqrt(np.sum(a * a))))
+    for _ in range(50):
+        off = math.sqrt(sum(a[p, q] ** 2 for p in range(n) for q in range(n) if p != q))
+        if off <= 1e-13 * scale:
+            return np.diagonal(a).copy(), v
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if a[p, q] == 0.0:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rot = np.eye(n)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+                a[p, q] = a[q, p] = 0.0
+                v = v @ rot
+    raise ArithmeticError("Jacobi eigensolver did not converge in 50 sweeps")
+
+
+def chain_eigenvalues(cfg, t, alpha2, d2):
+    """Sorted eigenvalues of M^-1 K for the 3DOF chain at one node, by
+    ``jacobi_eigh`` on M^-1/2 K M^-1/2. ``cfg`` is read only through its
+    masses and stiffnesses."""
+    e = cfg.k2 * ((1.0 - alpha2 * t) * (1.0 - d2))
+    k = np.array(
+        [
+            [cfg.k1 + e, -e, 0.0],
+            [-e, e + cfg.k3, -cfg.k3],
+            [0.0, -cfg.k3, cfg.k3 + cfg.k4],
+        ]
+    )
+    inv_sqrt_m = 1.0 / np.sqrt(np.array([cfg.m1, cfg.m2, cfg.m3]))
+    lams, _ = jacobi_eigh(k * inv_sqrt_m[:, None] * inv_sqrt_m[None, :])
+    return np.sort(lams)
+
+
+def msd_cloud(cfg, embed="eigenvalue"):
+    """The mass-spring cloud built one node at a time: (T, alpha2, D2,
+    value) row-major over the three linspace grids, each column with a
+    positive maximum divided by it. ``embed`` "frequency" takes the
+    square root of the mode's eigenvalue."""
+    rows = []
+    for t in np.linspace(cfg.t_min, cfg.t_max, cfg.t_divs):
+        for a in np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.alpha_divs):
+            for d in np.linspace(cfg.d_min, cfg.d_max, cfg.d_divs):
+                lam = chain_eigenvalues(cfg, t, a, d)[cfg.mode_index - 1]
+                rows.append((t, a, d, lam if embed == "eigenvalue" else math.sqrt(lam)))
+    coords = np.array(rows, dtype=np.float64)
+    for j in range(coords.shape[1]):
+        top = coords[:, j].max()
+        if top > 0.0:
+            coords[:, j] = coords[:, j] / top
+    return coords
+
+
 def cost_pair(a, b, p):
     """p-th power of the L-infinity distance between finite intervals
     a = (birth, death) and b."""

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import phom.generators
 from phom import (
     ComputationError,
     InputError,
@@ -16,7 +18,7 @@ from phom import (
     stiffness_matrix,
     write_msd_config,
 )
-from oracles import cubic_eigenvalues
+from oracles import cubic_eigenvalues, msd_cloud
 
 
 def paper_cfg(**overrides):
@@ -125,6 +127,15 @@ def test_stiffness_matrix_negative_factor_rejected():
     # explicit opt-in allows the unphysical region
     k = stiffness_matrix(cfg, 500.0, 0.005, 0.0, allow_negative=True)
     assert k[0, 0] == 10000.0 + 10000.0 * (1.0 - 2.5)
+    # on a grid, the message names the first negative node in row-major order
+    t = np.array([[250.0, 500.0], [250.0, 500.0]])
+    alpha = np.array([[0.001, 0.003], [0.005, 0.005]])
+    with pytest.raises(InputError) as err:
+        stiffness_matrix(cfg, t, alpha, 0.0)
+    assert str(err.value) == "negative effective stiffness: (1 - 0.003*500.0)*(1 - 0.0) = -0.5"
+    k = stiffness_matrix(cfg, t, alpha, 0.0, allow_negative=True)
+    assert k.shape == (2, 2, 3, 3)
+    assert np.array_equal(k[1, 1], stiffness_matrix(cfg, 500.0, 0.005, 0.0, allow_negative=True))
 
 
 def test_natural_frequencies_toeplitz():
@@ -249,8 +260,94 @@ def test_msd_manifold_frequency_embedding():
 
 
 def test_msd_manifold_frequency_rejects_unphysical_grid():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         gen_msd_manifold(paper_cfg(mode_index=1), embed="frequency")
+    assert str(err.value) == "negative effective stiffness: (1 - 0.005*250.0)*(1 - 0.0) = -0.25"
+
+
+def assert_matches_oracle(cfg, embed="eigenvalue"):
+    got = gen_msd_manifold(cfg, embed=embed).coords
+    assert got.tobytes() == msd_cloud(cfg, embed=embed).tobytes(), cfg
+
+
+def test_msd_manifold_matches_per_node_oracle():
+    # the grid is solved as one stack; every cloud is the per-node
+    # reference's, byte for byte
+    for k2 in (10000.0, 5000.0):
+        for mode in (1, 2, 3):
+            assert_matches_oracle(paper_cfg(k2=k2, mode_index=mode))
+    assert_matches_oracle(paper_cfg(alpha_max=0.001, d_max=0.5, mode_index=2), "frequency")
+    assert_matches_oracle(paper_cfg(t_divs=20, alpha_divs=20, d_divs=25, mode_index=2))
+
+
+def test_msd_manifold_random_configs_match_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        params = {name: rng.uniform(1, 50) for name in ("m1", "m2", "m3")}
+        params.update({name: rng.uniform(100, 50000) for name in ("k1", "k2", "k3", "k4")})
+        t_min, d_min = rng.uniform(0, 300), rng.uniform(0, 0.5)
+        cfg = paper_cfg(
+            **params,
+            t_min=t_min,
+            t_max=t_min + rng.uniform(0, 300),
+            alpha_max=rng.uniform(0, 0.01),
+            d_min=d_min,
+            d_max=rng.uniform(d_min, 1.0),
+            t_divs=int(rng.integers(2, 7)),
+            alpha_divs=int(rng.integers(2, 7)),
+            d_divs=int(rng.integers(2, 7)),
+            mode_index=int(rng.integers(1, 4)),
+        )
+        assert_matches_oracle(cfg)
+        if cfg.min_stiffness_factor() >= 0.0:
+            assert_matches_oracle(cfg, "frequency")
+
+
+def test_natural_frequencies_array_matches_scalar_calls():
+    cfg = paper_cfg()
+    t, a, d = np.meshgrid(cfg.grid_t(), cfg.grid_alpha(), cfg.grid_d(), indexing="ij")
+    modal = natural_frequencies(cfg, t, a, d, allow_negative=True)
+    assert modal.eigenvalues.shape == t.shape + (3,)
+    for node in np.ndindex(t.shape):
+        one = natural_frequencies(cfg, t[node], a[node], d[node], allow_negative=True)
+        assert one.eigenvalues.shape == (3,)
+        assert one.eigenvalues.tobytes() == modal.eigenvalues[node].tobytes()
+    assert stiffness_matrix(cfg, 300.0, 0.001, 0.5).shape == (3, 3)
+    assert natural_frequencies(cfg, np.empty((0, 2)), 0.0, 0.0).eigenvalues.shape == (0, 2, 3)
+
+
+def test_jacobi_nan_stack_does_not_converge():
+    # nan fails the convergence test instead of passing it, so a nan node
+    # raises instead of returning nan eigenvalues
+    with pytest.raises(ComputationError, match="did not converge in 50 sweeps"):
+        phom.generators._jacobi_eigh(np.full((2, 3, 3), np.nan))
+    with pytest.raises(ComputationError, match="did not converge in 50 sweeps"):
+        natural_frequencies(paper_cfg(), np.array([300.0, np.nan]), 0.001, 0.5)
+
+
+def test_natural_frequencies_residual_check(monkeypatch):
+    solve = phom.generators._jacobi_eigh
+
+    def perturbed(a):
+        lams, vecs = solve(a)
+        return lams * (1.0 + 1e-6), vecs
+
+    monkeypatch.setattr(phom.generators, "_jacobi_eigh", perturbed)
+    with pytest.raises(ComputationError, match=r"eigenpair residual \S+ exceeds bound \S+"):
+        natural_frequencies(paper_cfg(), np.array([300.0, 400.0]), 0.001, 0.5)
+
+
+def test_msd_manifold_peak_memory_within_priced_cost():
+    # the budget guard prices a grid at _BYTES_PER_MSD_NODE per node; the
+    # stacked solve of 10^4 nodes must peak within that
+    cfg = paper_cfg(t_divs=20, alpha_divs=20, d_divs=25, mode_index=2)
+    tracemalloc.start()
+    try:
+        gen_msd_manifold(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 10_000 <= phom.generators._BYTES_PER_MSD_NODE
 
 
 def test_self_intersection_family():
