@@ -13,7 +13,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import generators, geometry, persistence, svgplot, vr, wasserstein
@@ -32,8 +31,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt_distance(value: float) -> str:
     if value == 0.0:
         return "0.0000"
-    if math.isinf(value):
-        return "inf"
     return format(value, ".5g")
 
 

@@ -34,6 +34,7 @@ eps counts the k-bars alive at eps (Zomorodian & Carlsson, 2005).
 
 from __future__ import annotations
 
+import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -254,8 +255,7 @@ def betti_numbers(f: Filtration, eps: float, max_k: int) -> list[int]:
     return betti_curve(intervals(f), eps, max_k)
 
 
-def _fmt(x: float) -> str:
-    return "inf" if math.isinf(x) else format(x, ".9g")
+_BAR = np.dtype([("dim", np.int64), ("birth", np.float64), ("death", np.float64)])
 
 
 def write_barcode_csv(b: Barcode, out) -> None:
@@ -266,35 +266,47 @@ def write_barcode_csv(b: Barcode, out) -> None:
     with opened as fh:
         fh.write("dim,birth,death\n")
         for dim, birth, death in zip(b.dims.tolist(), b.births.tolist(), b.deaths.tolist()):
-            fh.write(f"{dim},{_fmt(birth)},{_fmt(death)}\n")
+            fh.write(f"{dim},{birth:.9g},{death:.9g}\n")
+
+
+def _parse_rows(path, fh):
+    """Yield a barcode CSV's bars as (dim, birth, death), each parsed and
+    checked in turn."""
+    header = fh.readline().strip()
+    if header != "dim,birth,death":
+        raise InputError(f"{path}: expected header dim,birth,death, got {header!r}")
+    for lineno, raw in enumerate(fh, start=2):
+        parts = raw.strip().split(",")
+        if parts == [""]:
+            continue
+        try:
+            if len(parts) != 3:
+                raise InputError("expected 3 fields")
+            # validates; InputError is a ValueError, so it names the line too
+            bar = PersistenceInterval(int(parts[0]), float(parts[1]), float(parts[2]))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        yield bar.dim, bar.birth, bar.death
 
 
 def read_barcode_csv(path) -> Barcode:
-    """Inverse of write_barcode_csv. The scale range is not stored in the
-    file, so eps_max is recovered as the largest finite value present."""
-    dims, births, deaths = [], [], []
-    top = 0.0
+    """Inverse of write_barcode_csv; eps_max, which the file does not store,
+    is the largest finite value present, or 0.0. A row numpy refuses, or an
+    invalid bar, sends the file to a row-by-row parse that names its line."""
     with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        if header != "dim,birth,death":
-            raise InputError(f"{path}: expected header dim,birth,death, got {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                dim = int(parts[0])
-                birth = float(parts[1])
-                death = math.inf if parts[2] == "inf" else float(parts[2])
-                # validates; InputError is a ValueError, so it names the line too
-                PersistenceInterval(dim=dim, birth=birth, death=death)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            dims.append(dim)
-            births.append(birth)
-            deaths.append(death)
-            top = max(top, birth, death if not math.isinf(death) else 0.0)
-    return Barcode._from_arrays(np.array(dims), np.array(births), np.array(deaths), top)
+        try:  # a decoding error is a ValueError too
+            header, body = fh.readline().strip(), fh.read()
+            rows = np.empty(0, _BAR)
+            if body.strip():  # loadtxt warns on a body without rows
+                rows = np.loadtxt(io.StringIO(body), _BAR, comments=None, delimiter=",", ndmin=1)
+            births, deaths = rows["birth"], rows["death"]
+            valid = header == "dim,birth,death" and (rows["dim"] >= 0).all()
+            valid = valid and np.isfinite(births).all() and (births <= deaths).all()
+        except ValueError:
+            valid = False
+        if not valid:
+            fh.seek(0)
+            rows = np.fromiter(_parse_rows(path, fh), _BAR)
+    births, deaths = rows["birth"], rows["death"]
+    top = max(0.0, float(np.where(np.isinf(deaths), births, deaths).max(initial=0.0)))
+    return Barcode._from_arrays(rows["dim"], births, deaths, top)

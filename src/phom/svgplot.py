@@ -72,7 +72,7 @@ def render_barcode_svg(b: Barcode, path) -> None:
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
-    out += _legend(np.unique(b.dims).tolist(), ml, 20.0)
+    out += _legend(set(b.dims.tolist()), ml, 20.0)
     axis_y = height - mb
     out.append(
         f'<line x1="{ml:.1f}" y1="{axis_y:.1f}" x2="{width - mr:.1f}" y2="{axis_y:.1f}" '
@@ -136,7 +136,7 @@ def render_diagram_svg(b: Barcode, path) -> None:
         f'viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
-    out += _legend(np.unique(b.dims).tolist(), ml, 20.0)
+    out += _legend(set(b.dims.tolist()), ml, 20.0)
     # axes
     out.append(
         f'<line x1="{ml:.1f}" y1="{sy(0):.1f}" x2="{sx(span * 1.15):.1f}" y2="{sy(0):.1f}" '

@@ -14,14 +14,13 @@ with r < 0 help. So only the negative cells of the n x m reduced costs
 are stored, and scipy's sparse LAPJVsp (Jonker & Volgenant 1987) matches
 each left bar to one of them or to its own diagonal column, exactly: a
 brute-force matcher and a dense assignment in the test suite verify it.
-scipy.sparse is bound lazily, so runs that compare no barcodes skip it.
+scipy.sparse is imported only where a matching is built and solved, so
+runs that compare no barcodes never load scipy.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,18 +33,6 @@ __all__ = [
     "MatchingProblem",
     "wasserstein_p",
 ]
-
-# importing scipy takes most of a CLI run's start-up time and memory, and
-# only a matching needs it: unless it is imported already, bind
-# scipy.sparse lazily (the LazyLoader recipe of the importlib docs); the
-# spec of scipy.sparse.csgraph cannot be found without importing it
-_sparse = sys.modules.get("scipy.sparse")
-if _sparse is None:
-    _spec = importlib.util.find_spec("scipy.sparse")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    _sparse = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(_sparse)
-
 
 # cells of the reduced costs computed per step; the step's two scratch
 # blocks are this size, so the fill allocates nothing n x m
@@ -72,10 +59,12 @@ class MatchingProblem:
     left: Barcode
     right: Barcode
     p: float
-    cost: _sparse.csr_array = field(init=False, repr=False)
+    cost: "csr_array" = field(init=False, repr=False)
     diagonal: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        from scipy.sparse import csr_array
+
         left, right, p = self.left, self.right, self.p
         n, m = len(left), len(right)
         # this also keeps n * m, and so every index below, under 2**31
@@ -104,7 +93,7 @@ class MatchingProblem:
             cells[ends[lo:hi] - indptr[lo]] = False
             data[rows][cells] = block.ravel()[kept]
             columns[rows][cells] = kept % m
-        self.cost = _sparse.csr_array((data, columns, indptr), shape=(n, m + n))
+        self.cost = csr_array((data, columns, indptr), shape=(n, m + n))
 
     def _reduced_costs(self):
         """Yield (lo, hi, block) with block[i, j] = r(left[lo + i], right[j])
@@ -132,7 +121,9 @@ class MatchingProblem:
         n, m = len(left_diag), len(right_diag)
         if not (n and m):
             return float(left_diag.sum() + right_diag.sum())
-        rows, cols = _sparse.csgraph.min_weight_full_bipartite_matching(self.cost)
+        from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+        rows, cols = min_weight_full_bipartite_matching(self.cost)
         real = cols < m
         rows, cols = rows[real], cols[real]
         left, right = self.left, self.right

@@ -383,6 +383,48 @@ def msd_cloud(cfg, embed="eigenvalue"):
     return coords
 
 
+def read_barcode_rows(path):
+    """(dims, births, deaths, eps_max) of a barcode CSV, parsed one row at
+    a time with int() and float(): blank lines are skipped, a death of
+    ``inf`` is infinite, and eps_max is the largest finite value present,
+    or 0.0. A bad header or row raises ValueError naming the file and
+    line, with the package's message."""
+    dims, births, deaths = [], [], []
+    top = 0.0
+    with open(path, "r", newline="") as fh:
+        header = fh.readline().strip()
+        if header != "dim,birth,death":
+            raise ValueError(f"{path}: expected header dim,birth,death, got {header!r}")
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 fields")
+            try:
+                dim = int(parts[0])
+                birth = float(parts[1])
+                death = math.inf if parts[2] == "inf" else float(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if dim < 0:
+                problem = f"dimension must be nonnegative, got {dim}"
+            elif not math.isfinite(birth):
+                problem = f"birth must be finite, got {birth}"
+            elif not birth <= death:
+                problem = f"interval must satisfy birth <= death, got [{birth}, {death}]"
+            else:
+                problem = None
+            if problem:
+                raise ValueError(f"{path}:{lineno}: {problem}")
+            dims.append(dim)
+            births.append(birth)
+            deaths.append(death)
+            top = max(top, birth, death if not math.isinf(death) else 0.0)
+    return dims, births, deaths, top
+
+
 def cost_pair(a, b, p):
     """p-th power of the L-infinity distance between finite intervals
     a = (birth, death) and b."""

@@ -432,6 +432,7 @@ def run_python(script, *args):
 LOADS_SCIPY_ONLY_TO_MATCH = """
 import contextlib, io, sys
 import phom.cli
+assert "scipy" not in sys.modules, "importing phom loaded scipy"
 
 def phom_out(*argv):
     out = io.StringIO()
@@ -447,6 +448,9 @@ phom_out("betti", f"{d}/s.csv", "--eps", "0.9", "--max-dim", "3", "--max-k", "2"
 for cloud, bars in (("s", "a"), ("f", "b")):
     phom_out("persist", f"{d}/{cloud}.csv", "--eps", "0.9", "--max-dim", "2",
              "--out", f"{d}/{bars}.csv")
+phom_out("plot", "barcode", f"{d}/a.csv", "--out", f"{d}/a.svg")
+phom_out("plot", "diagram", f"{d}/b.csv", "--out", f"{d}/b.svg")
+assert "scipy" not in sys.modules, "scipy loaded before a matching"
 assert "scipy.sparse._csr" not in sys.modules, "scipy.sparse loaded before a matching"
 assert "scipy.sparse.csgraph._matching" not in sys.modules, "scipy loaded before a matching"
 assert "numpy.ma" not in sys.modules, "numpy.ma loaded before a matching"
@@ -458,9 +462,10 @@ assert "scipy.optimize" not in sys.modules, "a matching loaded scipy.optimize"
 
 def test_scipy_loads_only_to_solve_a_matching(tmp_path):
     # importing scipy costs most of a CLI run's start-up time and memory:
-    # vr, betti, persist and gen must not load scipy.sparse or its matching
-    # solver, and compare must load the solver but never scipy.optimize;
-    # numpy.ma, which np.unique imports, must wait for compare too
+    # importing phom and running gen, vr, betti, persist and plot must not
+    # load scipy at all, and compare must load the sparse matching solver
+    # but never scipy.optimize; numpy.ma, which np.unique imports, must
+    # wait for compare too
     printed = run_python(LOADS_SCIPY_ONLY_TO_MATCH, tmp_path)
     want = wasserstein_p(read_barcode_csv(tmp_path / "a.csv"), read_barcode_csv(tmp_path / "b.csv"))
     assert 0.0 < want < math.inf
@@ -468,11 +473,15 @@ def test_scipy_loads_only_to_solve_a_matching(tmp_path):
 
 
 def test_scipy_imported_first_is_reused():
+    # a caller that imported scipy.sparse before phom keeps that module,
+    # and the matching solves with it
     script = (
-        "import sys, scipy.sparse, phom, phom.wasserstein as w\n"
-        "assert w._sparse is scipy.sparse is sys.modules['scipy.sparse']\n"
+        "import sys, scipy.sparse\n"
+        "first = sys.modules['scipy.sparse']\n"
+        "import phom\n"
         "bars = [phom.PersistenceInterval(0, 0.0, d) for d in (1.0, 2.0)]\n"
         "left, right = (phom.Barcode((bar,), eps_max=3.0) for bar in bars)\n"
-        "print(w.MatchingProblem(left, right, 1.0).solve())\n"
+        "print(phom.MatchingProblem(left, right, 1.0).solve())\n"
+        "assert sys.modules['scipy.sparse'] is first is scipy.sparse\n"
     )
     assert run_python(script) == "1.0\n"
