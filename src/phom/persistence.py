@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .geometry import check_budget
 from .homology import coboundary
 from .vr import Filtration
 
@@ -56,6 +57,15 @@ __all__ = [
     "write_barcode_csv",
     "read_barcode_csv",
 ]
+
+
+# a bar as packed arrays hold it, which is why a dim must fit in int64
+_BAR = np.dtype([("dim", np.int64), ("birth", np.float64), ("death", np.float64)])
+
+# Budget guard for betti_curve: `phom betti` on a barcode peaks at 68-69 B
+# (tracemalloc) and 82 B (RSS) per count it prints, at 10^6-10^7 counts,
+# over the bincount, its list and the formatted line.
+_BYTES_PER_BETTI_COUNT = 96
 
 
 @dataclass(frozen=True, order=True)
@@ -74,6 +84,8 @@ class PersistenceInterval:
     def __post_init__(self):
         if self.dim < 0:
             raise InputError(f"dimension must be nonnegative, got {self.dim}")
+        if self.dim >= 2**63:
+            raise InputError(f"dimension must fit in int64, got {self.dim}")
         if not math.isfinite(self.birth):
             raise InputError(f"birth must be finite, got {self.birth}")
         if not self.birth <= self.death:
@@ -92,8 +104,8 @@ class Barcode:
     __slots__ = ("dims", "births", "deaths", "eps_max")
 
     def __init__(self, intervals, eps_max: float):
-        bars = np.array([(iv.dim, iv.birth, iv.death) for iv in intervals]).reshape(-1, 3)
-        self._pack(bars[:, 0], bars[:, 1], bars[:, 2], eps_max)
+        bars = np.fromiter(((iv.dim, iv.birth, iv.death) for iv in intervals), _BAR)
+        self._pack(bars["dim"], bars["birth"], bars["death"], eps_max)
 
     @classmethod
     def _from_arrays(cls, dims, births, deaths, eps_max: float) -> Barcode:
@@ -239,6 +251,7 @@ def betti_curve(b: Barcode, eps: float, max_k: int | None = None) -> list[int]:
         max_k = b.max_dim
     if max_k < 0:
         raise InputError(f"max_k must be nonnegative, got {max_k}")
+    check_budget(_BYTES_PER_BETTI_COUNT * (max_k + 1), f"{max_k + 1} Betti numbers")
     alive = (b.births <= eps) & (eps < b.deaths) & (b.dims <= max_k)
     return np.bincount(b.dims[alive], minlength=max_k + 1).tolist()
 
@@ -253,9 +266,6 @@ def betti_numbers(f: Filtration, eps: float, max_k: int) -> list[int]:
     if not 0.0 <= eps <= f.eps_max:
         raise InputError(f"eps must be in [0, {f.eps_max}] for this filtration, got {eps}")
     return betti_curve(intervals(f), eps, max_k)
-
-
-_BAR = np.dtype([("dim", np.int64), ("birth", np.float64), ("death", np.float64)])
 
 
 def write_barcode_csv(b: Barcode, out) -> None:

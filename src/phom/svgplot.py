@@ -38,24 +38,28 @@ def _span(b: Barcode) -> float:
     return float(top) if top > 0.0 else 1.0
 
 
-def _legend(dims, x: float, y: float) -> list[str]:
-    parts = []
-    for slot, dim in enumerate(sorted(dims)):
-        lx = x + 90.0 * slot
-        parts.append(
-            f'<rect x="{lx:.1f}" y="{y - 9:.1f}" width="12" height="12" fill="{_color(dim)}"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 17:.1f}" y="{y + 2:.1f}" font-size="12">dim {dim}</text>'
-        )
-    return parts
+def _frame(b: Barcode, width: float, height: float, ml: float) -> list[str]:
+    """What both views open with: the header, a white background and one
+    legend swatch per dimension present, from x = ml. An empty barcode is
+    refused before anything is drawn or written."""
+    if len(b) == 0:
+        raise InputError("cannot render an empty barcode")
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+    ]
+    for slot, dim in enumerate(sorted(set(b.dims.tolist()))):
+        lx = ml + 90.0 * slot
+        out.append(f'<rect x="{lx:.1f}" y="11.0" width="12" height="12" fill="{_color(dim)}"/>')
+        out.append(f'<text x="{lx + 17:.1f}" y="22.0" font-size="12">dim {dim}</text>')
+    return out
 
 
 def render_barcode_svg(b: Barcode, path) -> None:
     """Horizontal bars against the scale axis in (dim, birth, death) order,
     one color per dimension, infinite bars arrow off the right edge."""
-    if len(b) == 0:
-        raise InputError("cannot render an empty barcode")
     span = _span(b)
     ml, mr, mt, mb = 60.0, 30.0, 40.0, 45.0
     row = 14.0
@@ -66,13 +70,7 @@ def render_barcode_svg(b: Barcode, path) -> None:
     def sx(value: float) -> float:
         return ml + inner * value / span
 
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-    ]
-    out += _legend(set(b.dims.tolist()), ml, 20.0)
+    out = _frame(b, width, height, ml)
     axis_y = height - mb
     out.append(
         f'<line x1="{ml:.1f}" y1="{axis_y:.1f}" x2="{width - mr:.1f}" y2="{axis_y:.1f}" '
@@ -107,7 +105,6 @@ def render_barcode_svg(b: Barcode, path) -> None:
                 f'<polygon points="{x1:.2f},{y - 6:.2f} {x1 + 10:.2f},{y:.2f} '
                 f'{x1:.2f},{y + 6:.2f}" fill="{_color(dim)}"/>'
             )
-    out.append("</svg>")
     _write(path, out)
 
 
@@ -115,8 +112,6 @@ def render_diagram_svg(b: Barcode, path) -> None:
     """Birth-death scatter with the y = x diagonal; infinite deaths sit on
     a marked rail above the finite range; repeated intervals carry a
     multiplicity label."""
-    if len(b) == 0:
-        raise InputError("cannot render an empty barcode")
     span = _span(b)
     size = 560.0
     ml, mr, mt, mb = 65.0, 30.0, 45.0, 55.0
@@ -130,13 +125,7 @@ def render_diagram_svg(b: Barcode, path) -> None:
     def sy(value: float) -> float:
         return size - mb - inner_h * value / (span * 1.15)
 
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
-        f'viewBox="0 0 {size:.0f} {size:.0f}">',
-        f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="white"/>',
-    ]
-    out += _legend(set(b.dims.tolist()), ml, 20.0)
+    out = _frame(b, size, size, ml)
     # axes
     out.append(
         f'<line x1="{ml:.1f}" y1="{sy(0):.1f}" x2="{sx(span * 1.15):.1f}" y2="{sy(0):.1f}" '
@@ -187,11 +176,10 @@ def render_diagram_svg(b: Barcode, path) -> None:
             out.append(
                 f'<text x="{cx + 6:.2f}" y="{cy - 5:.2f}" font-size="11">x{count}</text>'
             )
-    out.append("</svg>")
     _write(path, out)
 
 
 def _write(path, lines) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write("\n</svg>\n")

@@ -149,8 +149,8 @@ def build_vr(
         )
 
     d = dm.entries
-    # admit a pair when its distance is <= eps_max / scale
-    adjacent = d <= eps_max / scale
+    # admit a pair when its distance, read in place, is <= eps_max / scale
+    reach = eps_max / scale
     # per dimension, in lexicographic order: the facets, and the births as
     # ranks among the distinct values of {0} and the edge lengths
     facets = [np.empty((n, 0), dtype=np.int32)]
@@ -181,7 +181,7 @@ def build_vr(
             first = np.repeat(np.arange(lo, hi, dtype=np.int32), later[lo:hi])
             second = first + np.arange(len(first), dtype=np.int32)
             second += np.repeat((cum[lo] - cum[lo:hi] + 1).astype(np.int32), later[lo:hi])
-            keep = adjacent[top[first], top[second]]
+            keep = d[top[first], top[second]] <= reach
             if child is not None:
                 # the lexicographic position of each candidate's child
                 child[cum[lo] : cum[hi]] = np.cumsum(keep) + (count - start - 1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from phom import (
     reduce,
     write_barcode_csv,
 )
+import phom.persistence
+from phom.cli import main
 from oracles import (
     apparent_pairs,
     dense_betti,
@@ -43,6 +46,18 @@ def test_interval_validation():
         PersistenceInterval(0, 2.0, 1.0)
     with pytest.raises(InputError):
         PersistenceInterval(-1, 0.0, 1.0)
+    with pytest.raises(InputError, match="int64"):
+        PersistenceInterval(2**63, 0.0, 1.0)
+
+
+def test_barcode_packs_dims_as_int64():
+    # dims never pass through float64, which would round 2**53 + 1
+    with pytest.raises(InputError, match="int64"):
+        Barcode([PersistenceInterval(2**63, 0, 1)], 1.0)
+    for dim in (2**53 + 1, 2**63 - 1):
+        b = Barcode([PersistenceInterval(dim, 0, 1)], 1.0)
+        assert b.dims.dtype == np.int64 and b[0] == PersistenceInterval(dim, 0.0, 1.0)
+        assert b.max_dim == dim
 
 
 def test_reduce_single_vertex():
@@ -202,6 +217,23 @@ def test_betti_curve_examples():
     square = intervals(build_vr(distance_matrix(SQUARE), 1.0, 2))
     assert betti_curve(square, 0.6)[1] == 1
     assert betti_curve(square, 0.8)[1] == 0
+
+
+def test_betti_curve_peak_within_priced_cost(tmp_path, capsys):
+    # the whole `phom betti` path over 10^6 counts stays within the price
+    # its budget guard charges per count
+    path = tmp_path / "bc.csv"
+    path.write_text("dim,birth,death\n0,0,inf\n1,0.1,0.5\n")
+    counts = 10**6
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["betti", str(path), "--eps", "0.2", "--max-k", str(counts - 1)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("[1,1,0,")
+    assert peak <= phom.persistence._BYTES_PER_BETTI_COUNT * counts
 
 
 def test_betti_curve_matches_betti_numbers():

@@ -54,8 +54,11 @@ def test_barcode_svg_square(tmp_path):
 
 
 def test_barcode_svg_rejects_empty(tmp_path):
-    with pytest.raises(InputError):
-        render_barcode_svg(Barcode((), eps_max=1.0), tmp_path / "x.svg")
+    out = tmp_path / "x.svg"
+    for render in (render_barcode_svg, render_diagram_svg):
+        with pytest.raises(InputError, match="empty barcode"):
+            render(Barcode((), eps_max=1.0), out)
+        assert not out.exists(), render.__name__
 
 
 def test_diagram_svg_square(tmp_path):
@@ -332,13 +335,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("vr", str(many), "--eps", "1", "--max-dim", "1") == 2
     assert "budget" in capsys.readouterr().err
     # a generated cloud over the memory budget: exit 2, before allocating
-    # it, for a config whose ranges keep the stiffness positive (no warning)
+    # it, for a config whose ranges keep the stiffness positive (no warning);
+    # and Betti counts over it, asked for or implied by a barcode's dims
     huge = tmp_path / "huge.cfg"
     huge.write_text("t_divs = 1000000000000\nalpha_max = 0.001\nd_max = 0.5\n")
+    deep = tmp_path / "deep.csv"
+    deep.write_text("dim,birth,death\n0,0,inf\n1000000000000000,0,1\n")
     oversized = [
         ("gen", "fibsphere", "--n", "1000000000000", "--out", str(tmp_path / "f.csv")),
         ("gen", "sphere", "--nu", "1000000000000", "--nv", "2", "--out", str(tmp_path / "s.csv")),
         ("gen", "msd", "--config", str(huge), "--out", str(tmp_path / "m.csv")),
+        ("betti", str(deep), "--eps", "0.5", "--max-k", "1000000000000000"),
+        ("betti", str(deep), "--eps", "0.5", "--max-k", "100000000000000000000"),
+        ("betti", str(deep), "--eps", "0.5"),
     ]
     for argv in oversized:
         assert run_cli(*argv) == 2, argv
@@ -383,6 +392,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
     assert not written.exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_cli_refuses_dim_beyond_int64(tmp_path, capsys):
+    # the row parse names the line whose dim int64 cannot hold: exit 1
+    big = tmp_path / "big.csv"
+    big.write_text("dim,birth,death\n100000000000000000000,0,1\n")
+    small = tmp_path / "small.csv"
+    small.write_text("dim,birth,death\n0,0,1\n")
+    for argv in (
+        ("plot", "barcode", str(big), "--out", str(tmp_path / "big.svg")),
+        ("betti", str(big), "--eps", "0.5"),
+        ("compare", str(big), str(small)),
+    ):
+        assert run_cli(*argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {big}:2: "), argv
+    assert not (tmp_path / "big.svg").exists()
 
 
 def test_cli_determinism(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from phom import (
     ResourceError,
     build_vr,
     distance_matrix,
+    gen_fibonacci_sphere,
     gen_sphere_latlon,
 )
 import phom.vr
@@ -200,6 +202,23 @@ def test_build_vr_deterministic():
     a = build_vr(dm, 0.8, 3)
     b = build_vr(dm, 0.8, 3)
     assert simplices(a) == simplices(b)
+
+
+def test_build_vr_reads_distances_in_place():
+    # adjacency is read off the distance matrix, never copied into an
+    # n x n mask: on a sparse 3,000-point sphere build_vr peaks far below
+    # n^2 bytes above its input (about 2 MB; a bool mask alone is 9 MB)
+    n = 3000
+    dm = distance_matrix(gen_fibonacci_sphere(n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = build_vr(dm, 0.1, 3, DIAMETER_EPS)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert f.counts_by_dim() == {0: 3000, 1: 10134, 2: 8276, 3: 1140}
+    assert peak < n * n
 
 
 def test_build_vr_budget():
