@@ -224,13 +224,17 @@ def _cmd_betti(args) -> int:
         barcode = persistence.read_barcode_csv(args.input)
         counts = persistence.betti_curve(barcode, args.eps, max_k=args.max_k)
     else:
-        cloud = geometry.read_point_csv(args.input)
         args.edge_rule = args.edge_rule or vr.PAPER_2EPS
         max_k = args.max_k
         if max_k is None:
             max_k = (args.max_dim - 1) if args.max_dim is not None else 1
         args.max_dim = args.max_dim if args.max_dim is not None else max_k + 1
-        filtration = _build(args, cloud)
+        if not 0 <= max_k < args.max_dim:
+            raise InputError(
+                f"betti needs 0 <= --max-k < --max-dim, got --max-k {max_k} "
+                f"and --max-dim {args.max_dim}"
+            )
+        filtration = _build(args, geometry.read_point_csv(args.input))
         counts = persistence.betti_numbers(filtration, args.eps, max_k)
     print(_fmt_betti(counts))
     return 0

@@ -135,9 +135,10 @@ class MsdConfig:
     mode_index: int = 1
 
     def __post_init__(self):
-        # every check is written so that nan fails it
+        # every check is written so that nan fails it; an int is finite, and
+        # math.isfinite would overflow on one too large for a float
         for name, value in vars(self).items():
-            if not math.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value}")
         if not all(m > 0.0 for m in (self.m1, self.m2, self.m3)):
             raise InputError("masses must be positive")

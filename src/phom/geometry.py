@@ -32,9 +32,11 @@ def check_budget(nbytes: int, what: str) -> None:
         )
 
 
-# distance_matrix fills this many rows at a time, so its coordinate
-# differences take block x n x d floats rather than n x n x d.
-_BLOCK_ROWS = 256
+# Every blocked loop sizes its blocks from this: distance_matrix's rows,
+# build_vr's candidate sibling pairs and the Wasserstein cost fill hold at
+# most this many elements per block array (one row or one simplex's pairs
+# at least), so their temporaries stay near 256 KB however large the input.
+BLOCK_CELLS = 1 << 15
 
 
 class PointCloud:
@@ -120,13 +122,14 @@ def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
     summed in the same order. Over the memory budget it raises ResourceError.
     """
     x = cloud.coords
-    n = len(cloud)
-    check_budget(8 * n * n, f"the distance matrix of {n} points")
+    n, dim = x.shape
+    # 8 B per entry, and the n x n bool each of DistanceMatrix's checks makes
+    check_budget(9 * n * n, f"the distance matrix of {n} points")
     d = np.empty((n, n), dtype=np.float64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        diff = x[lo:hi, None, :] - x[None, :, :]
-        d[lo:hi] = np.sqrt(np.sum(diff * diff, axis=-1))
+    step = max(1, BLOCK_CELLS // (n * dim))
+    for lo in range(0, n, step):
+        diff = x[lo : lo + step, None, :] - x
+        d[lo : lo + step] = np.sqrt(np.sum(diff * diff, axis=-1))
     d.setflags(write=False)
     return DistanceMatrix(d)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .geometry import DEFAULT_MEMORY_BUDGET_BYTES, DistanceMatrix, check_budget
+from .geometry import BLOCK_CELLS, DEFAULT_MEMORY_BUDGET_BYTES, DistanceMatrix, check_budget
 
 __all__ = [
     "Filtration",
@@ -47,12 +47,6 @@ EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 # which would raise the default cap (~44.7M simplices against 8 GiB) while
 # a cap above the host's memory is an open question.
 ESTIMATED_BYTES_PER_SIMPLEX = 192
-
-# build_vr joins siblings for a block of whole simplices at a time, at
-# most this many candidate pairs (or the n - 1 one simplex can have), so
-# that the int32 candidate arrays stay near 2 MB however large the complex.
-# The child index keeps 4 B per candidate of the dimension below.
-_BLOCK_PAIRS = 1 << 16
 
 
 def _birth_scale(rule: str) -> float:
@@ -176,7 +170,7 @@ def build_vr(
         lo, start = 0, count
         # whole simplices per block; an empty dimension makes one empty block
         while lo < len(top) or not new_facets:
-            hi = int(np.searchsorted(cum, cum[lo] + _BLOCK_PAIRS, "right")) - 1
+            hi = int(np.searchsorted(cum, cum[lo] + BLOCK_CELLS, "right")) - 1
             hi = min(max(hi, lo + 1), len(top))
             first = np.repeat(np.arange(lo, hi, dtype=np.int32), later[lo:hi])
             second = first + np.arange(len(first), dtype=np.int32)

@@ -26,17 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .geometry import check_budget
+from .geometry import BLOCK_CELLS, check_budget
 from .persistence import Barcode
 
 __all__ = [
     "MatchingProblem",
     "wasserstein_p",
 ]
-
-# cells of the reduced costs computed per step; the step's two scratch
-# blocks are this size, so the fill allocates nothing n x m
-_BLOCK_CELLS = 1 << 15
 
 # bytes per cell when every cell is negative: the fill keeps 12 (value and
 # column), and the solve peaks at 27.0-27.1 (tracemalloc, 600 x 500 to
@@ -100,7 +96,7 @@ class MatchingProblem:
         for consecutive row blocks; each block is overwritten by the next."""
         left, right = self.left, self.right
         left_diag, right_diag = self.diagonal
-        step = max(1, _BLOCK_CELLS // max(len(right), 1))
+        step = max(1, BLOCK_CELLS // max(len(right), 1))
         scratch = np.empty((2, min(step, len(left)), len(right)))
         for lo in range(0, len(left), step):
             hi = min(lo + step, len(left))

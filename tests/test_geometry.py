@@ -10,6 +10,7 @@ from phom import (
     PointCloud,
     ResourceError,
     distance_matrix,
+    gen_fibonacci_sphere,
     geometry,
     read_point_csv,
     write_point_csv,
@@ -70,17 +71,38 @@ def test_constructors_leave_caller_arrays_alone():
 
 
 def test_distance_matrix_refuses_oversized():
-    # 33,000 points need an 8.7 GB matrix, over the 8 GiB budget: refused
-    # before anything of that size is allocated
-    cloud = PointCloud(np.arange(33_000.0)[:, None])
+    # the path is priced at 9 n^2 bytes: the matrix and one n x n bool
+    # check. 33,000 points need an 8.7 GB matrix alone, and 31,000 points a
+    # 7.7 GB one that fits the 8 GiB budget while 9 n^2 (8.6 GB) does not:
+    # both are refused before anything of that size is allocated
+    assert 8 * 31_000**2 <= geometry.DEFAULT_MEMORY_BUDGET_BYTES < 9 * 31_000**2
+    for n in (33_000, 31_000):
+        cloud = PointCloud(np.arange(float(n))[:, None])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="budget"):
+                distance_matrix(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+
+def test_distance_matrix_peak_within_priced_cost():
+    # blocks of at most BLOCK_CELLS coordinate differences, so the peak
+    # above the input is the 8 n^2 B matrix and the n^2 B bool that each
+    # of DistanceMatrix's checks makes in turn, within 1 MiB
+    n = 3000
+    cloud = gen_fibonacci_sphere(n)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError, match="budget"):
-            distance_matrix(cloud)
-        peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        dm = distance_matrix(cloud)
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 1024
+    assert dm.n == n
+    assert peak <= 9 * n * n + 1024**2
 
 
 def test_distance_matrix_invariants_random():
@@ -98,12 +120,18 @@ def test_distance_matrix_invariants_random():
 
 
 def test_distance_matrix_blocking_agrees(monkeypatch):
-    cloud = PointCloud(np.random.default_rng(3).normal(size=(40, 3)))
-    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
-    a = distance_matrix(cloud).entries
-    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 1000)
-    b = distance_matrix(cloud).entries
-    assert np.array_equal(a, b)
+    # each distance is a sum over its own row's last axis, so the block
+    # size never changes a bit: blocks of 7 rows, of one row (n * d over
+    # BLOCK_CELLS) and one block, at d = 3 and at d = 9, where numpy sums
+    # the last axis pairwise
+    rng = np.random.default_rng(3)
+    for d in (3, 9):
+        cloud = PointCloud(rng.normal(size=(40, d)))
+        results = []
+        for cells in (7 * 40 * d, 40 * d - 1, 40 * 40 * d):
+            monkeypatch.setattr(geometry, "BLOCK_CELLS", cells)
+            results.append(distance_matrix(cloud).entries)
+        assert all(np.array_equal(results[-1], r) for r in results)
 
 
 def test_point_csv_round_trip(tmp_path):

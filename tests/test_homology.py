@@ -81,6 +81,26 @@ def test_package_layering():
             )
 
 
+def test_block_size_has_one_home():
+    # every blocked loop sizes its blocks from geometry.BLOCK_CELLS: no
+    # other module assigns a module-level name containing BLOCK
+    src = pathlib.Path(__file__).parents[1] / "src" / "phom"
+    homes = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and "BLOCK" in name.id:
+                        homes.append((path.name, name.id))
+    assert homes == [("geometry.py", "BLOCK_CELLS")]
+
+
 def test_public_names_have_callers():
     # every public name is used by the program itself, not only by tests:
     # some module other than __init__.py refers to it outside its own
@@ -206,11 +226,11 @@ def test_boundary_matrix_matches_dict_oracle(monkeypatch):
     # one triangle and a path of three far points: dimensions 3 and 4 are empty
     sparse = PointCloud([[0, 0], [1, 0], [0.5, 0.8], [5, 0], [6, 0], [7, 0]])
     cases.append((sparse, 1.0, 4, DIAMETER_EPS))
-    whole = phom.vr._BLOCK_PAIRS
+    whole = phom.vr.BLOCK_CELLS
     for cloud, eps, max_dim, rule in cases:
         dm = distance_matrix(cloud)
         for pairs in (whole, 3 * dm.n, 1):
-            monkeypatch.setattr(phom.vr, "_BLOCK_PAIRS", pairs)
+            monkeypatch.setattr(phom.vr, "BLOCK_CELLS", pairs)
             f = build_vr(dm, eps, max_dim, edge_rule=rule)
             if cloud is sparse:
                 assert f.counts_by_dim() == {0: 6, 1: 5, 2: 1}

@@ -310,7 +310,7 @@ def test_cli_plot(tmp_path):
         svg_root(out)  # well-formed
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # unknown subcommand: usage text, exit 1
     assert run_cli("frobnicate") == 1
     # missing file: exit 1
@@ -339,12 +339,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     # and Betti counts over it, asked for or implied by a barcode's dims
     huge = tmp_path / "huge.cfg"
     huge.write_text("t_divs = 1000000000000\nalpha_max = 0.001\nd_max = 0.5\n")
+    # an int no float can hold reaches the grid guard, not math.isfinite
+    vast = tmp_path / "vast.cfg"
+    vast.write_text("t_divs = 1" + "0" * 400 + "\nalpha_max = 0.001\nd_max = 0.5\n")
     deep = tmp_path / "deep.csv"
     deep.write_text("dim,birth,death\n0,0,inf\n1000000000000000,0,1\n")
     oversized = [
         ("gen", "fibsphere", "--n", "1000000000000", "--out", str(tmp_path / "f.csv")),
         ("gen", "sphere", "--nu", "1000000000000", "--nv", "2", "--out", str(tmp_path / "s.csv")),
         ("gen", "msd", "--config", str(huge), "--out", str(tmp_path / "m.csv")),
+        ("gen", "msd", "--config", str(vast), "--out", str(tmp_path / "m.csv")),
         ("betti", str(deep), "--eps", "0.5", "--max-k", "1000000000000000"),
         ("betti", str(deep), "--eps", "0.5", "--max-k", "100000000000000000000"),
         ("betti", str(deep), "--eps", "0.5"),
@@ -392,6 +396,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
     assert not written.exists() and not (tmp_path / "x.csv").exists()
+    # betti on points refuses a --max-k outside [0, --max-dim) before it
+    # builds the complex: exit 1, and build_vr is never called
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_vr called")
+
+    monkeypatch.setattr("phom.vr.build_vr", no_build)
+    for flags in (("--max-k", "-1"), ("--max-dim", "0"), ("--max-dim", "3", "--max-k", "3")):
+        assert run_cli("betti", str(pts), "--eps", "1", *flags) == 1, flags
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), flags
+        assert "--max-k" in captured.err and "--max-dim" in captured.err, flags
 
 
 def test_cli_refuses_dim_beyond_int64(tmp_path, capsys):

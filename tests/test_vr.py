@@ -99,7 +99,7 @@ def test_build_vr_child_index_matches_brute_force(monkeypatch):
         (PointCloud(np.round(rng.uniform(size=(14, 2)), 1)), {DIAMETER_EPS: 0.45, PAPER_2EPS: 0.25}, 6),
         (PointCloud(hub), {DIAMETER_EPS: 1.1, PAPER_2EPS: 0.55}, 2),
     ]
-    whole = phom.vr._BLOCK_PAIRS
+    whole = phom.vr.BLOCK_CELLS
     for cloud, eps, largest in clouds:
         dm = distance_matrix(cloud)
         for rule in (PAPER_2EPS, DIAMETER_EPS):
@@ -111,7 +111,7 @@ def test_build_vr_child_index_matches_brute_force(monkeypatch):
                     key=lambda t: (t[1], len(t[0]), t[0]),
                 )
                 for pairs in (whole, 7, 1):
-                    monkeypatch.setattr(phom.vr, "_BLOCK_PAIRS", pairs)
+                    monkeypatch.setattr(phom.vr, "BLOCK_CELLS", pairs)
                     f = build_vr(dm, eps[rule], max_dim, edge_rule=rule)
                     assert simplices(f) == order
 
@@ -125,8 +125,8 @@ def test_build_vr_budget_is_exact(monkeypatch):
     dm = distance_matrix(PointCloud(rng.normal(size=(30, 2))))
     whole = build_vr(dm, 1.2, 4)
     total = len(whole)
-    for pairs in (phom.vr._BLOCK_PAIRS, 3 * dm.n, 1):
-        monkeypatch.setattr(phom.vr, "_BLOCK_PAIRS", pairs)
+    for pairs in (phom.vr.BLOCK_CELLS, 3 * dm.n, 1):
+        monkeypatch.setattr(phom.vr, "BLOCK_CELLS", pairs)
         f = build_vr(dm, 1.2, 4, max_simplices=total)
         assert simplices(f) == simplices(whole)
         with pytest.raises(ResourceError):
@@ -153,8 +153,8 @@ def test_build_vr_hub_budget_counts_simplices(monkeypatch):
     angles = 2 * np.pi * np.arange(5) / 5
     pts = np.concatenate([[[0.0, 0.0]], np.stack([np.cos(angles), np.sin(angles)], 1)])
     dm = distance_matrix(PointCloud(pts))
-    for pairs in (phom.vr._BLOCK_PAIRS, 1):
-        monkeypatch.setattr(phom.vr, "_BLOCK_PAIRS", pairs)
+    for pairs in (phom.vr.BLOCK_CELLS, 1):
+        monkeypatch.setattr(phom.vr, "BLOCK_CELLS", pairs)
         for rule, eps in ((DIAMETER_EPS, 1.1), (PAPER_2EPS, 0.55)):
             f = build_vr(dm, eps, 2, edge_rule=rule, max_simplices=11)
             assert f.counts_by_dim() == {0: 6, 1: 5}
