@@ -30,6 +30,21 @@ never reduced and nothing could kill a top-dimension cycle: its bar is an
 artifact of cutting the complex off, and the barcode (like Ripser's)
 stops below max_dim. Betti numbers are read off the barcode: beta_k at
 eps counts the k-bars alive at eps (Zomorodian & Carlsson, 2005).
+
+``betti_numbers`` reads them off a smaller complex with the same
+homology: the strong-collapse core at eps (Boissonnat & Pritam,
+Computing persistent homology of flag complexes via strong collapses,
+SoCG 2019). A vertex v whose closed neighbourhood N[v] lies in a
+neighbour u's is dominated, and removing it keeps the flag complex's
+homotopy type. A round removes every vertex v below some neighbour u in
+the strict order "N[v] is a proper subset of N[u], or N[v] = N[u] and
+u < v"; each is dominated by a surviving maximum, so the round is a
+sequence of strong collapses. H_k depends only on the (k + 1)-skeleton,
+so beta_k for k < max_dim is the same for the core cut off at max_dim as
+for the whole complex. The rounds stop at the first that would remove
+less than a quarter of the edges and triangles left, and drop its
+removals: every round before it shrinks the work by a quarter, so all
+rounds together cost at most four times the first.
 """
 
 from __future__ import annotations
@@ -257,15 +272,67 @@ def betti_curve(b: Barcode, eps: float, max_k: int | None = None) -> list[int]:
 
 
 def betti_numbers(f: Filtration, eps: float, max_k: int) -> list[int]:
-    """Betti numbers beta_0..beta_max_k of the complex at scale eps, read
-    off the barcode, which stops below the top: max_k < f.max_dim."""
+    """Betti numbers beta_0..beta_max_k of the Rips complex at scale eps,
+    read off the barcode of its strong-collapse core (see the module
+    docstring), which stops below the top: max_k < f.max_dim. f must be
+    a flag filtration, as build_vr makes."""
     if not 0 <= max_k < f.max_dim:
         raise InputError(
             f"max_k must be in [0, {f.max_dim - 1}] for this filtration, got {max_k}"
         )
     if not 0.0 <= eps <= f.eps_max:
         raise InputError(f"eps must be in [0, {f.eps_max}] for this filtration, got {eps}")
-    return betti_curve(intervals(f), eps, max_k)
+    return betti_curve(intervals(_collapse(f, eps)), eps, max_k)
+
+
+def _collapse(f: Filtration, eps: float) -> Filtration:
+    """The strong-collapse core of f's complex at eps (see the module
+    docstring): the simplices born at or below eps whose vertices all
+    survive, renumbered per dimension in the same order, with the same
+    births. f itself when it stores no triangles or every vertex
+    survives. N[v] is a subset of N[u] exactly when the edge vu lies in
+    deg(v) - 1 triangles, so no n x n matrix is needed."""
+    if f.max_dim < 2:
+        return f
+    cut = int(np.searchsorted(f.births, eps, "right"))  # born at or below eps
+    dims = f.dims[:cut]
+    sizes = np.bincount(dims, minlength=f.max_dim + 1)
+    n = len(f.facets[0])
+    alive = np.ones(n, dtype=bool)
+    # the edges' vertices, and the triangles' edges as positions among them
+    edges, triangles = f.facets[1][: sizes[1]], f.facets[2][: sizes[2]]
+    while True:
+        degree = np.bincount(edges.ravel(), minlength=n)
+        shared = np.bincount(triangles.ravel(), minlength=len(edges))
+        v, u = edges.T  # v > u: an edge's facet 0 omits its smaller vertex
+        dv, du = degree[v], degree[u]
+        gone = np.zeros(n, dtype=bool)
+        gone[v[shared == dv - 1]] = True
+        gone[u[(shared == du - 1) & (du < dv)]] = True
+        # a simplex's facets 0 and k between them hold all its vertices
+        lost = gone[v] | gone[u]
+        lost_triangles = lost[triangles[:, 0]] | lost[triangles[:, 2]]
+        left = len(edges) + len(triangles)
+        if not 0 < left <= 4 * (np.count_nonzero(lost) + np.count_nonzero(lost_triangles)):
+            break
+        alive &= ~gone
+        position = np.cumsum(~lost, dtype=np.int32) - 1
+        edges, triangles = edges[~lost], position[triangles[~lost_triangles]]
+    if alive.all():
+        return f
+    # a simplex survives when its facets 0 and k do; renumber per dimension
+    keep_all = np.empty(cut, dtype=bool)
+    keep_all[dims == 0] = keep = alive
+    facets = [f.facets[0][alive]]
+    for k in range(1, f.max_dim + 1):
+        position = np.cumsum(keep, dtype=np.int32) - 1
+        below = f.facets[k][: sizes[k]]
+        keep = keep[below[:, 0]] & keep[below[:, k]]
+        facets.append(position[below[keep]])
+        keep_all[dims == k] = keep
+    return Filtration(
+        tuple(facets), f.births[:cut][keep_all], dims[keep_all], f.eps_max, f.max_dim
+    )
 
 
 def write_barcode_csv(b: Barcode, out) -> None:

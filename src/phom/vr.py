@@ -41,9 +41,10 @@ DIAMETER_EPS = "diameter-eps"
 EDGE_RULES = (PAPER_2EPS, DIAMETER_EPS)
 
 # Budget guard: refuse to enumerate complexes whose run would not fit in
-# memory. A whole persist or betti run peaks (tracemalloc) at 75-85 B per
-# simplex on the reference complexes and lat-lon, highest on lat-lon, in
-# reduce on each; build_vr peaks at 51-56 B. 192 is kept over a rounded-up 128,
+# memory. A whole persist run peaks (tracemalloc) at 68-85 B per simplex
+# on the reference complexes and lat-lon, highest on lat-lon, in reduce on
+# each; build_vr peaks at 53-57 B, and so does a betti run on each, as it
+# reduces only the strong-collapse core. 192 is kept over a rounded-up 128,
 # which would raise the default cap (~44.7M simplices against 8 GiB) while
 # a cap above the host's memory is an open question.
 ESTIMATED_BYTES_PER_SIMPLEX = 192

@@ -315,15 +315,17 @@ def test_apparent_pairs_latlon():
 
 
 def test_budget_estimate_covers_peak_memory():
-    # the betti path on the raw lat-lon grid has the highest peak per
-    # simplex of the reference runs, about 85 B against 75-79 B on the five
-    # mass-spring complexes; the budget's per-simplex estimate must cover it
+    # reducing the whole raw lat-lon grid has the highest peak per simplex
+    # of the reference runs, about 84 B against 68-78 B on the five
+    # mass-spring complexes; the budget's per-simplex estimate must cover
+    # it. betti_numbers reduces only the strong-collapse core, 3,802
+    # simplices here, so intervals is the path measured
     raw = phom.gen_sphere_latlon(20, 10, include_u_endpoint=True, dedupe=False)
     tracemalloc.start()
     try:
         dm = phom.distance_matrix(raw)
         f = phom.build_vr(dm, LATLON_EPS, 3, edge_rule=DIAMETER_EPS)
-        phom.betti_numbers(f, LATLON_EPS, 2)
+        phom.intervals(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,12 +6,14 @@ import pytest
 
 from phom import (
     DIAMETER_EPS,
+    EDGE_RULES,
     PAPER_2EPS,
     Barcode,
     InputError,
     PersistenceInterval,
     PointCloud,
     betti_curve,
+    betti_numbers,
     build_vr,
     distance_matrix,
     gen_fibonacci_sphere,
@@ -250,6 +252,72 @@ def test_betti_curve_matches_betti_numbers():
         for eps in {*scales[::4], scales[-1]}:
             present = [s for s, _ in pairs[: prefix_length(f, eps)]]
             assert betti_curve(barcode, eps, max_k=2) == dense_betti(present, 2)
+
+
+def _spy_on_intervals(monkeypatch) -> list:
+    """The filtrations betti_numbers hands to intervals, in call order."""
+    seen, real = [], phom.persistence.intervals
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(phom.persistence, "intervals", spy)
+    return seen
+
+
+def test_betti_numbers_collapsed_core_is_exact(monkeypatch):
+    # betti_numbers reads the barcode of the strong-collapse core, which
+    # must give the full complex's numbers: at every third scale and at
+    # eps_max, under both edge rules and max_dim 2-4, on random clouds, a
+    # third of them with duplicated points, which are always dominated;
+    # against the dense GF(2) ranks too where the cloud is small
+    seen = _spy_on_intervals(monkeypatch)
+    rng = np.random.default_rng(26)
+    collapsed = 0
+    for trial in range(30):
+        max_dim, rule = 2 + trial % 3, EDGE_RULES[trial % 2]
+        n = int(rng.integers(5, 31 - 5 * max_dim))
+        pts = rng.uniform(size=(n, int(rng.integers(1, 4))))
+        if trial % 3 == 1:
+            pts = np.concatenate([pts, pts[rng.integers(0, n, size=1 + n // 3)]])
+        f = build_vr(distance_matrix(PointCloud(pts)), 0.6, max_dim, edge_rule=rule)
+        barcode = intervals(f)
+        pairs = simplices(f) if len(pts) <= 10 else None
+        scales = sorted(set(f.births.tolist()))
+        for eps in {*scales[::3], f.eps_max}:
+            got = betti_numbers(f, eps, max_dim - 1)
+            collapsed += seen[-1] is not f
+            assert got == betti_curve(barcode, eps, max_dim - 1), (trial, eps)
+            if pairs is not None:
+                present = [s for s, _ in pairs[: prefix_length(f, eps)]]
+                assert got == dense_betti(present, max_dim - 1), (trial, eps)
+    assert collapsed >= 100  # the core path ran, not only the pass-through
+
+
+def test_betti_numbers_collapses_only_when_it_pays(monkeypatch):
+    # a collapse round that would remove less than a quarter of the edges
+    # and triangles left is dropped, and with it the rounds after it; when
+    # no vertex goes, or no triangles are stored, intervals gets f itself
+    seen = _spy_on_intervals(monkeypatch)
+    # a densely sampled segment: with no stop rule, each round would peel
+    # the 14 vertices at its two ends, for 143 rounds
+    x = np.linspace(0.0, 1.0, 2000)
+    segment = PointCloud(np.stack([x, 0.001 * np.sin(50 * x)], axis=1))
+    f = build_vr(distance_matrix(segment), 0.004, 2, edge_rule=DIAMETER_EPS)
+    assert betti_numbers(f, 0.004, 1) == [1, 0] and seen[-1] is f
+    # nothing on the Fibonacci sphere is dominated
+    f = build_vr(distance_matrix(gen_fibonacci_sphere(500)), 0.25, 3, edge_rule=DIAMETER_EPS)
+    assert betti_numbers(f, 0.25, 2) == [1, 0, 1] and seen[-1] is f
+    f = make_filtration(np.zeros((3, 1)), 1.0, 1)
+    assert betti_numbers(f, 1.0, 0) == [1] and seen[-1] is f
+    # the raw lat-lon grid's 20 copies of each pole and its repeated seam
+    # column go in the first round
+    raw = gen_sphere_latlon(20, 10, include_u_endpoint=True, dedupe=False)
+    f = build_vr(distance_matrix(raw), 0.5, 3, edge_rule=DIAMETER_EPS)
+    assert betti_numbers(f, 0.5, 2) == [1, 0, 1]
+    assert len(f) == 112094 and len(seen[-1]) == 3802
+    assert seen[-1].counts_by_dim()[0] == 154 and seen[-1].max_dim == 3
 
 
 def test_barcode_csv_round_trip(tmp_path):
