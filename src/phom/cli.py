@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import generators, geometry, persistence, svgplot, vr, wasserstein
-from .errors import ComputationError, InputError, ResourceError
+from .errors import InputError, PhomError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,33 +34,30 @@ def _fmt_distance(value: float) -> str:
     return format(value, ".5g")
 
 
-def _fmt_betti(counts) -> str:
-    return "[" + ",".join(str(c) for c in counts) + "]"
-
-
 def _is_barcode_file(path) -> bool:
     with open(path, "r") as fh:
         return fh.readline().strip() == "dim,birth,death"
 
 
-def _build(args, cloud: geometry.PointCloud) -> vr.Filtration:
+def _build(args, cloud: geometry.PointCloud, max_dim: int) -> vr.Filtration:
     dm = geometry.distance_matrix(cloud)
-    return vr.build_vr(dm, args.eps, args.max_dim, args.edge_rule, args.max_simplices)
+    rule = args.edge_rule or vr.PAPER_2EPS
+    return vr.build_vr(dm, args.eps, max_dim, rule, args.max_simplices)
 
 
-def _add_complex_flags(p):
+def _add_complex_flags(p, what: str):
+    # betti takes the complex flags for point input only and refuses them
+    # on a barcode, so their defaults are None
+    p.add_argument("input", help=what)
     p.add_argument("--eps", type=float, required=True, help="scale at which to work")
-    p.add_argument("--max-dim", type=int, required=True, help="largest simplex dimension")
     p.add_argument(
         "--edge-rule",
         choices=vr.EDGE_RULES,
-        default=vr.PAPER_2EPS,
         help="pair admission convention: d <= 2*eps (default) or d <= eps",
     )
     p.add_argument(
         "--max-simplices",
         type=int,
-        default=None,
         help="override the simplex budget derived from the 8 GiB default",
     )
 
@@ -115,32 +112,20 @@ def _make_parser() -> _Parser:
     msd.add_argument("--out", required=False, default=None)
 
     vrp = sub.add_parser("vr", help="build a filtration and print simplex counts")
-    vrp.add_argument("input", help="point-cloud CSV")
-    _add_complex_flags(vrp)
+    _add_complex_flags(vrp, "point-cloud CSV")
+    vrp.add_argument("--max-dim", type=int, required=True, help="largest simplex dimension")
 
     bet = sub.add_parser("betti", help="Betti numbers at a scale")
-    bet.add_argument("input", help="point-cloud CSV or barcode CSV")
-    bet.add_argument("--eps", type=float, required=True)
+    _add_complex_flags(bet, "point-cloud CSV or barcode CSV")
     bet.add_argument(
         "--max-k",
         type=int,
-        default=None,
-        help="highest homology dimension (default: what the input supports)",
+        help="highest homology dimension (default: every one a barcode holds, 1 on points)",
     )
-    # the complex flags apply to point input only; a barcode input that
-    # gives any of them is refused, so their defaults are None here
-    bet.add_argument("--max-dim", type=int, default=None, help="for point input")
-    bet.add_argument(
-        "--edge-rule",
-        choices=vr.EDGE_RULES,
-        default=None,
-        help=f"for point input (default {vr.PAPER_2EPS})",
-    )
-    bet.add_argument("--max-simplices", type=int, default=None, help="for point input")
 
     per = sub.add_parser("persist", help="compute a persistence barcode")
-    per.add_argument("input", help="point-cloud CSV")
-    _add_complex_flags(per)
+    _add_complex_flags(per, "point-cloud CSV")
+    per.add_argument("--max-dim", type=int, required=True, help="largest simplex dimension")
     per.add_argument(
         "--min-length", type=float, default=0.0, help="drop bars of length <= this"
     )
@@ -204,7 +189,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_vr(args) -> int:
-    filtration = _build(args, geometry.read_point_csv(args.input))
+    filtration = _build(args, geometry.read_point_csv(args.input), args.max_dim)
     counts = filtration.counts_by_dim()
     for dim in sorted(counts):
         print(f"dim {dim}: {counts[dim]}")
@@ -216,7 +201,7 @@ def _cmd_betti(args) -> int:
     if _is_barcode_file(args.input):
         given = [
             "--" + name.replace("_", "-")
-            for name in ("max_dim", "edge_rule", "max_simplices")
+            for name in ("edge_rule", "max_simplices")
             if getattr(args, name) is not None
         ]
         if given:
@@ -224,24 +209,19 @@ def _cmd_betti(args) -> int:
         barcode = persistence.read_barcode_csv(args.input)
         counts = persistence.betti_curve(barcode, args.eps, max_k=args.max_k)
     else:
-        args.edge_rule = args.edge_rule or vr.PAPER_2EPS
-        max_k = args.max_k
-        if max_k is None:
-            max_k = (args.max_dim - 1) if args.max_dim is not None else 1
-        args.max_dim = args.max_dim if args.max_dim is not None else max_k + 1
-        if not 0 <= max_k < args.max_dim:
-            raise InputError(
-                f"betti needs 0 <= --max-k < --max-dim, got --max-k {max_k} "
-                f"and --max-dim {args.max_dim}"
-            )
-        filtration = _build(args, geometry.read_point_csv(args.input))
-        counts = persistence.betti_numbers(filtration, args.eps, max_k)
-    print(_fmt_betti(counts))
+        # beta_k needs the (k + 1)-skeleton, which n points hold up to n - 1
+        cloud = geometry.read_point_csv(args.input)
+        n = len(cloud)
+        max_k = 1 if args.max_k is None else args.max_k
+        if not 0 <= max_k <= n - 2:
+            raise InputError(f"--max-k must be in [0, {n - 2}] for a {n}-point cloud, got {max_k}")
+        counts = persistence.betti_numbers(_build(args, cloud, max_k + 1), args.eps, max_k)
+    print("[" + ",".join(str(c) for c in counts) + "]")
     return 0
 
 
 def _cmd_persist(args) -> int:
-    filtration = _build(args, geometry.read_point_csv(args.input))
+    filtration = _build(args, geometry.read_point_csv(args.input), args.max_dim)
     barcode = persistence.intervals(
         filtration, min_length=args.min_length, keep_zero=args.keep_zero
     )
@@ -293,18 +273,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except UnicodeDecodeError as exc:
         print(f"error: input is not text: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
-    except (ResourceError, ComputationError) as exc:
+    except PhomError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InputError) else 2
 
 
 if __name__ == "__main__":

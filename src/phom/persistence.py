@@ -49,8 +49,8 @@ rounds together cost at most four times the first.
 
 from __future__ import annotations
 
-import io
 import math
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -372,10 +372,10 @@ def read_barcode_csv(path) -> Barcode:
     invalid bar, sends the file to a row-by-row parse that names its line."""
     with open(path, "r", newline="") as fh:
         try:  # a decoding error is a ValueError too
-            header, body = fh.readline().strip(), fh.read()
-            rows = np.empty(0, _BAR)
-            if body.strip():  # loadtxt warns on a body without rows
-                rows = np.loadtxt(io.StringIO(body), _BAR, comments=None, delimiter=",", ndmin=1)
+            header = fh.readline().strip()
+            with warnings.catch_warnings():  # loadtxt warns on a file without rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, _BAR, comments=None, delimiter=",", ndmin=1)
             births, deaths = rows["birth"], rows["death"]
             valid = header == "dim,birth,death" and (rows["dim"] >= 0).all()
             valid = valid and np.isfinite(births).all() and (births <= deaths).all()

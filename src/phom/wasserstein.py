@@ -5,7 +5,9 @@ barcode can only match dimension-k intervals in the other, or drop to the
 diagonal, under the L-infinity distance between (birth, death) points.
 Infinite bars never reach the diagonal; they match among themselves by
 birth, and a mismatch in their count in any dimension makes the barcodes
-infinitely far apart (returned as math.inf, not an error).
+infinitely far apart (returned as math.inf, not an error). A sum of p-th
+powers beyond float range, or below the smallest normal float while the
+bars differ, raises ComputationError instead of a wrong distance.
 
 With delta(a) the cost of sending bar a to the diagonal and c(a, b) that
 of matching a with b, a partial matching costs every bar's delta plus
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ComputationError, InputError
 from .geometry import BLOCK_CELLS, check_budget
 from .persistence import Barcode
 
@@ -106,7 +108,8 @@ class MatchingProblem:
             np.subtract(left.deaths[lo:hi, None], right.deaths, out=other)
             np.abs(other, out=other)
             np.maximum(block, other, out=block)
-            np.power(block, self.p, out=block)
+            with np.errstate(over="ignore"):  # an inf cell is never matched
+                np.power(block, self.p, out=block)
             block -= left_diag[lo:hi, None]
             block -= right_diag
             yield lo, hi, block
@@ -142,6 +145,13 @@ def _sorts_after(a: Barcode, b: Barcode) -> bool:
     return tuple(x[:, differ[0]]) > tuple(y[:, differ[0]])
 
 
+def _same_bars(a: Barcode, b: Barcode, dims) -> bool:
+    """Whether a and b hold the same bars of positive length in dims, so
+    that their distance is 0."""
+    a, b = (c[np.isin(c.dims, dims) & (c.deaths > c.births)] for c in (a, b))
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("dims", "births", "deaths"))
+
+
 def _split(b: Barcode, k: int) -> tuple[Barcode, np.ndarray]:
     """The finite bars of dimension k, and the births of its infinite
     bars, ascending as the bars are."""
@@ -170,13 +180,21 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
     if _sorts_after(b1, b2):
         b1, b2 = b2, b1
     total = 0.0
-    for k in dims:
-        left, left_inf = _split(b1, k)
-        right, right_inf = _split(b2, k)
-        if len(left_inf) != len(right_inf):
-            return math.inf
-        # sorted births pair in order, which is optimal for any p >= 1 in
-        # one dimension
-        total += float(np.sum(np.abs(left_inf - right_inf) ** p))
-        total += MatchingProblem(left, right, p).solve()
+    try:
+        with np.errstate(over="raise"):
+            for k in dims:
+                left, left_inf = _split(b1, k)
+                right, right_inf = _split(b2, k)
+                if len(left_inf) != len(right_inf):
+                    return math.inf
+                # sorted births pair in order, which is optimal for any p >= 1
+                # in one dimension
+                total += float(np.sum(np.abs(left_inf - right_inf) ** p))
+                total += MatchingProblem(left, right, p).solve()
+    except FloatingPointError:
+        total = math.inf
+    # a total beyond float range, or one whose precision has underflowed
+    # though the distance is not 0, would print a wrong distance
+    if total == math.inf or (total < np.finfo(float).tiny and not _same_bars(b1, b2, dims)):
+        raise ComputationError(f"the p-th powers leave float range at p = {p}; use a smaller p")
     return total ** (1.0 / p)

@@ -177,7 +177,7 @@ def test_criterion_2_msd_topology(msd_clouds):
         assert elapsed < 300.0
     # the omega_1 eps=0.77 run (188M simplices) exceeds the default budget
     # by design; the arithmetic proves it is rejected up front
-    budget = phom.vr.DEFAULT_MEMORY_BUDGET_BYTES // phom.vr.ESTIMATED_BYTES_PER_SIMPLEX
+    budget = phom.geometry.DEFAULT_MEMORY_BUDGET_BYTES // phom.vr.ESTIMATED_BYTES_PER_SIMPLEX
     say(
         f"[criterion 2] default budget {budget} < {OMEGA1_HUGE_COUNT} "
         "(omega_1 run requires explicit override): "

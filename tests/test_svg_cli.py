@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import phom.vr
 from phom import (
     Barcode,
     InputError,
@@ -180,8 +181,7 @@ def test_cli_betti_from_points(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--max-dim", "2"), ("--edge-rule", "paper-2eps"), ("--max-simplices", "1000")],
+    "flag, value", [("--edge-rule", "paper-2eps"), ("--max-simplices", "1000")]
 )
 def test_cli_betti_barcode_refuses_complex_flag(tmp_path, capsys, flag, value):
     # the complex flags act on point input only; a barcode input must not
@@ -191,6 +191,59 @@ def test_cli_betti_barcode_refuses_complex_flag(tmp_path, capsys, flag, value):
     assert run_cli("betti", str(bc), "--eps", "0.5", flag, value) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and flag in captured.err
+
+
+def test_cli_betti_builds_to_max_k_plus_one(tmp_path, capsys, monkeypatch):
+    # beta_k needs the (k + 1)-skeleton: on points, betti builds the
+    # complex to --max-k + 1, and to 2 when --max-k is omitted
+    pts = tmp_path / "sq.csv"
+    pts.write_text("".join(f"{x},{y}\n" for x, y in SQUARE))
+    built = []
+    real = phom.vr.build_vr
+
+    def spy(dm, eps, max_dim, *rest):
+        built.append(max_dim)
+        return real(dm, eps, max_dim, *rest)
+
+    monkeypatch.setattr("phom.vr.build_vr", spy)
+    cases = (((), 2, "[1,1]"), (("--max-k", "0"), 1, "[1]"), (("--max-k", "2"), 3, "[1,1,0]"))
+    for flags, max_dim, want in cases:
+        assert run_cli("betti", str(pts), "--eps", "0.6", *flags) == 0, flags
+        assert capsys.readouterr().out == want + "\n" and built.pop() == max_dim, flags
+    # the 4-point square holds a 3-simplex at most, so --max-k 2 at most
+    assert run_cli("betti", str(pts), "--eps", "2", "--max-k", "3") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not built
+    assert captured.err == "error: --max-k must be in [0, 2] for a 4-point cloud, got 3\n"
+
+
+def test_cli_betti_takes_no_max_dim(tmp_path, capsys):
+    # the complex's top dimension follows from --max-k, so --max-dim is
+    # no betti flag, on point input or barcode input
+    pts = tmp_path / "sq.csv"
+    pts.write_text("".join(f"{x},{y}\n" for x, y in SQUARE))
+    bc = tmp_path / "bc.csv"
+    bc.write_text("dim,birth,death\n0,0,inf\n")
+    for path in (pts, bc):
+        assert run_cli("betti", str(path), "--eps", "0.6", "--max-dim", "2") == 1, path
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-dim" in captured.err, path
+
+
+def test_cli_compare_refuses_powers_beyond_float_range(tmp_path, capsys):
+    # a p-th power beyond float range would print 0.0000 or inf: exit 2
+    files = {}
+    for name, bar in (("a", "0.1,0.5"), ("b", "0.1,0.3"), ("c", "0,10"), ("d", "0,30")):
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text(f"dim,birth,death\n0,0,inf\n1,{bar}\n")
+    for left, right, p, out in (("a", "b", "400", "0.2"), ("c", "d", "200", "15")):
+        assert run_cli("compare", str(files[left]), str(files[right]), "--p", p) == 0
+        assert capsys.readouterr().out == f"d_Wp = {out}\n"
+    for left, right, p in (("a", "b", "500"), ("a", "b", "1000"), ("c", "d", "300")):
+        assert run_cli("compare", str(files[left]), str(files[right]), "--p", p) == 2, p
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), p
+        assert f"p = {float(p)}" in captured.err, p
 
 
 def test_cli_persist_to_stdout(tmp_path, capsys):
@@ -396,17 +449,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
     assert not written.exists() and not (tmp_path / "x.csv").exists()
-    # betti on points refuses a --max-k outside [0, --max-dim) before it
+    # betti on points refuses a --max-k outside [0, n - 2] before it
     # builds the complex: exit 1, and build_vr is never called
     def no_build(*args, **kwargs):
         raise AssertionError("build_vr called")
 
     monkeypatch.setattr("phom.vr.build_vr", no_build)
-    for flags in (("--max-k", "-1"), ("--max-dim", "0"), ("--max-dim", "3", "--max-k", "3")):
-        assert run_cli("betti", str(pts), "--eps", "1", *flags) == 1, flags
+    for max_k in ("-1", "99", "1000000000000000"):
+        assert run_cli("betti", str(pts), "--eps", "1", "--max-k", max_k) == 1, max_k
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: "), flags
-        assert "--max-k" in captured.err and "--max-dim" in captured.err, flags
+        assert captured.out == "" and captured.err.startswith("error: "), max_k
+        assert "--max-k" in captured.err and "100-point" in captured.err, max_k
 
 
 def test_cli_refuses_dim_beyond_int64(tmp_path, capsys):

@@ -136,13 +136,32 @@ def test_build_vr_budget_is_exact(monkeypatch):
 def test_build_vr_child_index_budget(monkeypatch):
     # the child index costs 4 B per candidate pair of its dimension: the
     # square's six edges make four pairs for dimension 2, so a 16 B memory
-    # budget holds the index and 15 B refuses it before it is made
+    # budget holds the index and 15 B refuses it before it is made; the
+    # simplex cap is given, as these budgets price no simplex at all
     dm = distance_matrix(SQUARE)
     monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", 16)
-    assert build_vr(dm, 0.75, 3).counts_by_dim() == {0: 4, 1: 6, 2: 4, 3: 1}
+    f = build_vr(dm, 0.75, 3, max_simplices=15)
+    assert f.counts_by_dim() == {0: 4, 1: 6, 2: 4, 3: 1}
     monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", 15)
     with pytest.raises(ResourceError, match="child index of dimension 2"):
-        build_vr(dm, 0.75, 3)
+        build_vr(dm, 0.75, 3, max_simplices=15)
+
+
+def test_build_vr_default_cap_reads_the_budget(monkeypatch):
+    # the default simplex cap is geometry's memory budget over the price of
+    # a simplex, read when build_vr is called: 192,000 B caps the 4,202
+    # simplices of the 500-point sphere at 0.25 to 1,000
+    dm = distance_matrix(gen_fibonacci_sphere(500))
+    assert len(build_vr(dm, 0.25, 3, DIAMETER_EPS)) == 4_202
+    price = phom.vr.ESTIMATED_BYTES_PER_SIMPLEX
+    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", 1_000 * price)
+    with pytest.raises(ResourceError, match="more than 1000 simplices"):
+        build_vr(dm, 0.25, 3, DIAMETER_EPS)
+    assert len(build_vr(dm, 0.25, 3, DIAMETER_EPS, max_simplices=4_202)) == 4_202
+    # a budget below one vertex's price is a resource limit, not bad input
+    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", price - 1)
+    with pytest.raises(ResourceError, match="budget of 0 simplices"):
+        build_vr(dm, 0.25, 3, DIAMETER_EPS)
 
 
 def test_build_vr_hub_budget_counts_simplices(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 from phom import (
     Barcode,
+    ComputationError,
     InputError,
     MatchingProblem,
     PersistenceInterval,
@@ -299,6 +300,29 @@ def test_wasserstein_infinite_mismatch():
     assert math.isinf(wasserstein_p(b1, b2, 2.0))
 
 
+def test_wasserstein_refuses_powers_beyond_float_range():
+    # 0.2**p underflows past p = 460 and 20**p overflows past p = 236:
+    # either would print a wrong distance, so the distance is refused
+    inf_bar = iv(0, 0, math.inf)
+    near = bc(inf_bar, iv(1, 0.1, 0.5)), bc(inf_bar, iv(1, 0.1, 0.3))
+    far = bc(inf_bar, iv(1, 0, 10)), bc(inf_bar, iv(1, 0, 30))
+    for p in (2.0, 400.0):
+        assert wasserstein_p(*near, p) == pytest.approx(0.2)
+    assert wasserstein_p(*far, 200.0) == pytest.approx(15.0)
+    for pair, p in ((near, 500.0), (near, 1000.0), (far, 300.0)):
+        with pytest.raises(ComputationError, match=f"p = {p}"):
+            wasserstein_p(*pair, p)
+    # equal bars, or bars that differ only by zero-length ones, are at 0
+    for p in (1000.0, 1e9):
+        assert wasserstein_p(near[0], near[0], p) == 0.0
+        assert wasserstein_p(near[0], bc(inf_bar, iv(1, 0.1, 0.5), iv(1, 2, 2)), p) == 0.0
+    # a pair cost beyond float range is never matched: the distance holds
+    short, remote = bc(iv(1, 0, 1)), bc(iv(1, 1e300, 1.000000000000001e300))
+    half = (remote.deaths[0] - remote.births[0]) / 2
+    want = (0.5**1.05 + half**1.05) ** (1 / 1.05)
+    assert wasserstein_p(short, remote, 1.05) == pytest.approx(want)
+
+
 def test_wasserstein_p_validation():
     b = bc(iv(0, 0, 1))
     for p in (0.5, math.inf, math.nan):
@@ -444,7 +468,7 @@ d = sys.argv[1]
 phom_out("gen", "sphere", "--nu", "8", "--nv", "5", "--out", f"{d}/s.csv")
 phom_out("gen", "fibsphere", "--n", "40", "--out", f"{d}/f.csv")
 phom_out("vr", f"{d}/s.csv", "--eps", "0.9", "--max-dim", "2")
-phom_out("betti", f"{d}/s.csv", "--eps", "0.9", "--max-dim", "3", "--max-k", "2")
+phom_out("betti", f"{d}/s.csv", "--eps", "0.9", "--max-k", "2")
 for cloud, bars in (("s", "a"), ("f", "b")):
     phom_out("persist", f"{d}/{cloud}.csv", "--eps", "0.9", "--max-dim", "2",
              "--out", f"{d}/{bars}.csv")
