@@ -15,7 +15,6 @@ from .geometry import (
     write_point_csv,
 )
 from .generators import (
-    ModalResult,
     MsdConfig,
     gen_fibonacci_sphere,
     gen_msd_manifold,
@@ -57,7 +56,6 @@ __all__ = [
     "Filtration",
     "InputError",
     "MatchingProblem",
-    "ModalResult",
     "MsdConfig",
     "PAPER_2EPS",
     "Pairing",

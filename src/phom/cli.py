@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import generators, geometry, persistence, svgplot, vr, wasserstein
@@ -62,6 +63,7 @@ def _add_complex_flags(p, what: str):
     )
 
 
+@functools.cache  # parse_args leaves the parser as it is, so one serves every call
 def _make_parser() -> _Parser:
     top = _Parser(prog="phom", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)

@@ -20,7 +20,6 @@ from .geometry import PointCloud, check_budget
 
 __all__ = [
     "MsdConfig",
-    "ModalResult",
     "gen_sphere_latlon",
     "gen_fibonacci_sphere",
     "stiffness_matrix",
@@ -190,26 +189,6 @@ class MsdConfig:
         return replace(self, mode_index=mode_index)
 
 
-@dataclass(frozen=True, eq=False)
-class ModalResult:
-    """Eigenvalues of M^-1 K, three per grid node sorted ascending.
-
-    ``eigenvalues`` may contain negative entries when the caller allowed an
-    unphysical (negative-stiffness) configuration; ``omegas``, their square
-    roots, is only defined when all eigenvalues are nonnegative.
-    """
-
-    eigenvalues: np.ndarray
-
-    @property
-    def omegas(self) -> np.ndarray:
-        low = self.eigenvalues[..., 0]
-        if np.any(low < 0.0):
-            first = low.flat[np.argmax(low < 0.0)]
-            raise ComputationError(f"negative eigenvalue {first:.6g}: no real natural frequency")
-        return np.sqrt(self.eigenvalues)
-
-
 def stiffness_matrix(cfg: MsdConfig, t, alpha2, d2, allow_negative: bool = False) -> np.ndarray:
     """Stiffness matrices of the chain with the softened middle spring.
 
@@ -279,11 +258,14 @@ def _jacobi_eigh(a: np.ndarray):
     raise ComputationError("Jacobi eigensolver did not converge in 50 sweeps")
 
 
-def natural_frequencies(cfg: MsdConfig, t, alpha2, d2, allow_negative: bool = False) -> ModalResult:
-    """Eigenvalues of M^-1 K for the chain at every node of a grid.
+def natural_frequencies(cfg: MsdConfig, t, alpha2, d2, allow_negative: bool = False) -> np.ndarray:
+    """Eigenvalues lambda = omega^2 of M^-1 K for the chain at every node
+    of a grid, sorted ascending.
 
     ``t``, ``alpha2`` and ``d2`` broadcast as in ``stiffness_matrix``, and
-    the eigenvalues take their shape followed by (3,). Solved on the
+    the float64 result has their shape followed by (3,). With
+    ``allow_negative`` a node of negative effective stiffness may have a
+    negative eigenvalue, which has no real natural frequency. Solved on the
     symmetrized matrices M^-1/2 K M^-1/2 (similar to M^-1 K, so same
     spectrum) by cyclic Jacobi rotations. Each eigenpair is verified
     against the residual bound |M^-1 K x - lam x| <= 1e-9 |K|.
@@ -304,7 +286,7 @@ def natural_frequencies(cfg: MsdConfig, t, alpha2, d2, allow_negative: bool = Fa
         raise ComputationError(
             f"eigenpair residual {resid[node[0], pair[0]]:.3g} exceeds bound {bound[node[0]]:.3g}"
         )
-    return ModalResult(eigenvalues=lams.reshape(k.shape[:-1]))
+    return lams.reshape(k.shape[:-1])
 
 
 def gen_msd_manifold(cfg: MsdConfig, embed: str = "eigenvalue") -> PointCloud:
@@ -328,8 +310,13 @@ def gen_msd_manifold(cfg: MsdConfig, embed: str = "eigenvalue") -> PointCloud:
     check_budget(_BYTES_PER_MSD_NODE * n, f"a grid of {n} nodes")
     allow = embed == "eigenvalue"
     grid = np.meshgrid(cfg.grid_t(), cfg.grid_alpha(), cfg.grid_d(), indexing="ij")
-    modal = natural_frequencies(cfg, *grid, allow_negative=allow)
-    value = modal.eigenvalues if allow else modal.omegas
+    value = natural_frequencies(cfg, *grid, allow_negative=allow)
+    if not allow:
+        low = value[..., 0]
+        if np.any(low < 0.0):
+            first = low.flat[np.argmax(low < 0.0)]
+            raise ComputationError(f"negative eigenvalue {first:.6g}: no real natural frequency")
+        value = np.sqrt(value)
     coords = np.stack([g.ravel() for g in grid] + [value[..., cfg.mode_index - 1].ravel()], axis=1)
     top = coords.max(axis=0)
     np.divide(coords, top, out=coords, where=top > 0.0)

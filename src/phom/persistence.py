@@ -330,9 +330,7 @@ def _collapse(f: Filtration, eps: float) -> Filtration:
         keep = keep[below[:, 0]] & keep[below[:, k]]
         facets.append(position[below[keep]])
         keep_all[dims == k] = keep
-    return Filtration(
-        tuple(facets), f.births[:cut][keep_all], dims[keep_all], f.eps_max, f.max_dim
-    )
+    return Filtration(tuple(facets), f.births[:cut][keep_all], dims[keep_all], f.eps_max)
 
 
 def write_barcode_csv(b: Barcode, out) -> None:

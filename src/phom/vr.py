@@ -82,7 +82,6 @@ class Filtration:
     # so the simplex budget keeps every non-empty dimension far below 128
     dims: np.ndarray
     eps_max: float
-    max_dim: int
 
     def __post_init__(self):
         for k in range(1, len(self.facets)):
@@ -94,6 +93,11 @@ class Filtration:
 
     def __len__(self) -> int:
         return len(self.births)
+
+    @property
+    def max_dim(self) -> int:
+        """The top dimension, read off the facets: len(self.facets) - 1."""
+        return len(self.facets) - 1
 
     @property
     def n_columns(self) -> int:
@@ -238,10 +242,4 @@ def build_vr(
             column[:] = np.take(rank, np.take(column, lex))
         rank = np.empty(len(lex), dtype=np.int32)
         rank[lex] = np.arange(len(lex), dtype=np.int32)
-    return Filtration(
-        facets=tuple(facets),
-        births=births,
-        dims=dims,
-        eps_max=float(eps_max),
-        max_dim=max_dim,
-    )
+    return Filtration(facets=tuple(facets), births=births, dims=dims, eps_max=float(eps_max))

@@ -48,7 +48,8 @@ class MatchingProblem:
 
     ``left`` and ``right`` are barcodes of finite intervals that share one
     dimension. Costs are raised to the power p, so the solved objective is
-    the inner sum of the Wasserstein formula restricted to this dimension.
+    the inner sum of the Wasserstein formula restricted to this dimension;
+    a bar whose diagonal cost leaves float range raises ComputationError.
     ``cost`` is the n x (m + n) csr_array the solve hands to scipy: row i
     stores min(r, 0) at the columns j < m where r < 0, then column m + i,
     left bar i's diagonal. ``diagonal`` holds each side's delta.
@@ -72,7 +73,10 @@ class MatchingProblem:
             raise InputError(f"intervals span several dimensions: {dims.tolist()}")
         if np.isinf(left.deaths).any() or np.isinf(right.deaths).any():
             raise InputError("matching problems hold finite intervals only")
-        self.diagonal = tuple(((b.deaths - b.births) / 2.0) ** p for b in (left, right))
+        with np.errstate(over="ignore"):
+            self.diagonal = tuple(((b.deaths - b.births) / 2.0) ** p for b in (left, right))
+        if any(np.isinf(delta).any() for delta in self.diagonal):
+            raise _out_of_range(p)
         # count each row's negative cells, then compute the blocks again
         # to store them, so the arrays are made once at their final size;
         # each row ends in its diagonal column m + i, whose weight is the
@@ -132,6 +136,10 @@ class MatchingProblem:
         ) ** self.p
         unmatched = np.delete(left_diag, rows), np.delete(right_diag, cols)
         return float(np.concatenate([pairs, *unmatched]).sum())
+
+
+def _out_of_range(p: float) -> ComputationError:
+    return ComputationError(f"the p-th powers leave float range at p = {p}; use a smaller p")
 
 
 def _sorts_after(a: Barcode, b: Barcode) -> bool:
@@ -196,5 +204,5 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
     # a total beyond float range, or one whose precision has underflowed
     # though the distance is not 0, would print a wrong distance
     if total == math.inf or (total < np.finfo(float).tiny and not _same_bars(b1, b2, dims)):
-        raise ComputationError(f"the p-th powers leave float range at p = {p}; use a smaller p")
+        raise _out_of_range(p)
     return total ** (1.0 / p)

@@ -140,11 +140,11 @@ def test_stiffness_matrix_negative_factor_rejected():
 
 def test_natural_frequencies_toeplitz():
     cfg = paper_cfg()
-    modal = natural_frequencies(cfg, 0.0, 0.0, 0.0)
+    lams = natural_frequencies(cfg, 0.0, 0.0, 0.0)
     expect = [1000.0 * (2.0 - math.sqrt(2.0)), 2000.0, 1000.0 * (2.0 + math.sqrt(2.0))]
-    for got, want in zip(modal.eigenvalues, expect):
+    for got, want in zip(lams, expect):
         assert math.isclose(got, want, rel_tol=1e-12)
-    for got, want in zip(modal.omegas, expect):
+    for got, want in zip(np.sqrt(lams), expect):
         assert math.isclose(got, math.sqrt(want), rel_tol=1e-12)
 
 
@@ -153,14 +153,14 @@ def test_natural_frequencies_decoupled():
     # mass alone (k1/m = 1000) and a 2x2 block whose smaller eigenvalue
     # 1500 - 500*sqrt(5) is the global minimum; the cubic oracle agrees
     cfg = paper_cfg()
-    modal = natural_frequencies(cfg, 300.0, 0.001, 1.0)
+    lams = natural_frequencies(cfg, 300.0, 0.001, 1.0)
     want = sorted([1000.0, 1500.0 - 500.0 * math.sqrt(5.0), 1500.0 + 500.0 * math.sqrt(5.0)])
-    for got, ref in zip(modal.eigenvalues, want):
+    for got, ref in zip(lams, want):
         assert math.isclose(got, ref, rel_tol=1e-12)
     m = np.diag([cfg.m1, cfg.m2, cfg.m3])
     k = stiffness_matrix(cfg, 300.0, 0.001, 1.0)
     oracle = cubic_eigenvalues(np.linalg.inv(m) @ k)
-    for got, ref in zip(modal.eigenvalues, oracle):
+    for got, ref in zip(lams, oracle):
         assert math.isclose(got, ref, rel_tol=1e-9)
 
 
@@ -169,7 +169,7 @@ def test_natural_frequencies_stiffness_scaling():
     hard = paper_cfg(k1=40000.0, k2=40000.0, k3=40000.0, k4=40000.0)
     base = natural_frequencies(cfg, 300.0, 0.0005, 0.25)
     scaled = natural_frequencies(hard, 300.0, 0.0005, 0.25)
-    for a, b in zip(base.omegas, scaled.omegas):
+    for a, b in zip(np.sqrt(base), np.sqrt(scaled)):
         assert math.isclose(2.0 * a, b, rel_tol=1e-12)
 
 
@@ -188,20 +188,37 @@ def test_natural_frequencies_vs_cardano_oracle():
         t = rng.uniform(250, 500)
         alpha = rng.uniform(0, 1.0 / t)  # keep the factor nonnegative
         d2 = rng.uniform(0, 1)
-        modal = natural_frequencies(cfg, t, alpha, d2)
+        lams = natural_frequencies(cfg, t, alpha, d2)
         m = np.diag([cfg.m1, cfg.m2, cfg.m3])
         k = stiffness_matrix(cfg, t, alpha, d2)
         want = cubic_eigenvalues(np.linalg.inv(m) @ k)
-        for got, ref in zip(modal.eigenvalues, want):
+        for got, ref in zip(lams, want):
             assert math.isclose(got, ref, rel_tol=1e-8, abs_tol=1e-8)
 
 
-def test_negative_eigenvalue_has_no_omega():
-    cfg = paper_cfg()
-    modal = natural_frequencies(cfg, 500.0, 0.005, 0.0, allow_negative=True)
-    assert modal.eigenvalues[0] < 0.0
-    with pytest.raises(ComputationError):
-        _ = modal.omegas
+def test_frequency_embedding_refuses_negative_eigenvalue(monkeypatch):
+    # the frequency embedding takes the eigenvalues' square roots, so a
+    # negative lowest eigenvalue, which no physical grid yields, has no
+    # natural frequency; the eigenvalue embedding passes it through
+    cfg = paper_cfg(alpha_max=0.002)
+    real = phom.generators.natural_frequencies
+    plain = gen_msd_manifold(cfg).coords
+
+    def negative_last_node(*args, **kwargs):
+        lams = real(*args, **kwargs)
+        lams[-1, -1, -1, 0] = -12.5
+        return lams
+
+    monkeypatch.setattr(phom.generators, "natural_frequencies", negative_last_node)
+    for mode in (1, 2):  # the lowest eigenvalue is checked whatever the mode
+        with pytest.raises(ComputationError) as err:
+            gen_msd_manifold(cfg.with_mode(mode), embed="frequency")
+        assert str(err.value) == "negative eigenvalue -12.5: no real natural frequency"
+    coords = gen_msd_manifold(cfg).coords
+    # the largest lowest eigenvalue, at the stiffest node, scales the column
+    assert coords[-1, 3] == -12.5 / real(cfg, cfg.t_min, 0.0, 0.0)[0]
+    assert np.array_equal(coords[:-1], plain[:-1])
+    assert np.array_equal(coords[-1, :3], plain[-1, :3])
 
 
 def test_msd_config_validation():
@@ -306,14 +323,14 @@ def test_msd_manifold_random_configs_match_oracle():
 def test_natural_frequencies_array_matches_scalar_calls():
     cfg = paper_cfg()
     t, a, d = np.meshgrid(cfg.grid_t(), cfg.grid_alpha(), cfg.grid_d(), indexing="ij")
-    modal = natural_frequencies(cfg, t, a, d, allow_negative=True)
-    assert modal.eigenvalues.shape == t.shape + (3,)
+    lams = natural_frequencies(cfg, t, a, d, allow_negative=True)
+    assert lams.shape == t.shape + (3,)
     for node in np.ndindex(t.shape):
         one = natural_frequencies(cfg, t[node], a[node], d[node], allow_negative=True)
-        assert one.eigenvalues.shape == (3,)
-        assert one.eigenvalues.tobytes() == modal.eigenvalues[node].tobytes()
+        assert one.shape == (3,)
+        assert one.tobytes() == lams[node].tobytes()
     assert stiffness_matrix(cfg, 300.0, 0.001, 0.5).shape == (3, 3)
-    assert natural_frequencies(cfg, np.empty((0, 2)), 0.0, 0.0).eigenvalues.shape == (0, 2, 3)
+    assert natural_frequencies(cfg, np.empty((0, 2)), 0.0, 0.0).shape == (0, 2, 3)
 
 
 def test_jacobi_nan_stack_does_not_converge():
@@ -365,9 +382,9 @@ def test_self_intersection_family():
     for nodes in by_factor.values():
         if len(nodes) < 2:
             continue
-        base = natural_frequencies(cfg, *nodes[0], allow_negative=True).eigenvalues
+        base = natural_frequencies(cfg, *nodes[0], allow_negative=True)
         for other in nodes[1:]:
-            got = natural_frequencies(cfg, *other, allow_negative=True).eigenvalues
+            got = natural_frequencies(cfg, *other, allow_negative=True)
             for x, y in zip(base, got):
                 assert math.isclose(x, y, rel_tol=1e-10, abs_tol=1e-10)
             checked += 1

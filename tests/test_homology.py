@@ -201,7 +201,6 @@ def test_boundary_matrix_panics_on_missing_face():
             births=np.array([0.0, 0.0, 0.0, 0.5, 0.5, 1.0]),
             dims=np.array([0, 0, 0, 1, 1, 2], dtype=np.int8),
             eps_max=1.0,
-            max_dim=2,
         )
 
 

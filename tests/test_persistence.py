@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -353,3 +355,20 @@ def test_barcode_csv_formats_9_digits(tmp_path):
     path = tmp_path / "c.csv"
     write_barcode_csv(barcode, path)
     assert path.read_text() == "dim,birth,death\n0,0.333333333,0.666666667\n"
+
+
+def test_readme_pipeline_example_runs():
+    # the README's library example runs as written, and each expression
+    # it ends on gives the result its comments state
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Pipeline at a glance\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, results = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            results.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    want = ast.literal_eval(block.split("# ->", 1)[1].splitlines()[0].strip())
+    assert want == [1, 0, 1]
+    assert results == [want, want]  # betti_curve, then betti_numbers: "same numbers"

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import phom.cli
 import phom.vr
 from phom import (
     Barcode,
@@ -361,6 +362,25 @@ def test_cli_plot(tmp_path):
         out = tmp_path / f"{kind}.svg"
         assert run_cli("plot", kind, str(bc), "--out", str(out)) == 0
         svg_root(out)  # well-formed
+
+
+def test_cli_builds_one_parser(tmp_path, capsys):
+    # every main call parses with one cached parser, which a usage error
+    # after a successful call leaves working: exit 1, nothing on stdout
+    phom.cli._make_parser.cache_clear()
+    pts = tmp_path / "pts.csv"
+    assert run_cli("gen", "fibsphere", "--n", "20", "--out", str(pts)) == 0
+    capsys.readouterr()
+    vr_argv = ("vr", str(pts), "--eps", "0.5", "--max-dim", "1")
+    assert run_cli(*vr_argv) == 0
+    counts = capsys.readouterr().out
+    assert phom.cli._make_parser.cache_info()[:2] == (1, 1)  # hits, misses
+    assert run_cli("betti", str(pts), "--eps", "0.5", "--max-dim", "2") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --max-dim 2" in err
+    assert run_cli(*vr_argv) == 0
+    assert capsys.readouterr().out == counts
+    assert phom.cli._make_parser.cache_info()[:2] == (3, 1)
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):

@@ -297,7 +297,6 @@ def test_simplices_oracle_reads_facets():
             births=np.array([0.0, 0.0, 0.0, 0.5, 0.6, 0.7, 1.0]),
             dims=np.array([0, 0, 0, 1, 1, 1, 2], dtype=np.int8),
             eps_max=2.0,
-            max_dim=2,
         )
 
     assert [s for s, _ in simplices(packed([2, 1, 0]))] == [

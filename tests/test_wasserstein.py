@@ -323,6 +323,22 @@ def test_wasserstein_refuses_powers_beyond_float_range():
     assert wasserstein_p(short, remote, 1.05) == pytest.approx(want)
 
 
+def test_matching_problem_refuses_powers_beyond_float_range():
+    # 15**300 overflows the diagonal cost of (0, 30), which would leave an
+    # inf - inf cell and an inf cost; used directly, the matching refuses
+    # it as wasserstein_p does, and no warning escapes (pytest makes one an
+    # error)
+    for p in (300, 300.0):
+        with pytest.raises(ComputationError) as err:
+            MatchingProblem(bc(iv(1, 0, 10)), bc(iv(1, 0, 30)), p)
+        assert str(err.value) == f"the p-th powers leave float range at p = {p}; use a smaller p"
+    with pytest.raises(ComputationError, match="p = 300.0"):
+        MatchingProblem(bc(iv(1, 0, 30)), bc(), 300.0)
+    assert MatchingProblem(bc(iv(1, 0, 10)), bc(iv(1, 0, 30)), 200.0).solve() == pytest.approx(
+        15.0**200, rel=1e-9
+    )
+
+
 def test_wasserstein_p_validation():
     b = bc(iv(0, 0, 1))
     for p in (0.5, math.inf, math.nan):
