@@ -14,7 +14,8 @@ the simplices one dimension down, the boundary operator over GF(2),
 and over all simplices a float64 births array and an int8 dims array,
 everything in filtration order. ``build_vr`` grows cliques by joining
 siblings (Zomorodian 2010) and records each simplex's facets as it is
-made, so no simplex is ever looked up by its vertices.
+made, from the join and a child index over the join below; only a
+triangle's first facet, edge ab, is binary-searched by its key a*n + b.
 """
 
 from __future__ import annotations

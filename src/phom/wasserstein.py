@@ -5,9 +5,11 @@ barcode can only match dimension-k intervals in the other, or drop to the
 diagonal, under the L-infinity distance between (birth, death) points.
 Infinite bars never reach the diagonal; they match among themselves by
 birth, and a mismatch in their count in any dimension makes the barcodes
-infinitely far apart (returned as math.inf, not an error). A sum of p-th
-powers beyond float range, or below the smallest normal float while the
-bars differ, raises ComputationError instead of a wrong distance.
+infinitely far apart (returned as math.inf, not an error). Rather than
+print a wrong distance, MatchingProblem never matches a pair whose cost
+leaves float range, and refuses (ComputationError) a diagonal cost beyond
+it, a reduced cost below -max and a total beyond it; wasserstein_p refuses
+a total over all dimensions beyond it, or below 2.2e-308 while bars differ.
 
 With delta(a) the cost of sending bar a to the diagonal and c(a, b) that
 of matching a with b, a partial matching costs every bar's delta plus
@@ -48,8 +50,10 @@ class MatchingProblem:
 
     ``left`` and ``right`` are barcodes of finite intervals that share one
     dimension. Costs are raised to the power p, so the solved objective is
-    the inner sum of the Wasserstein formula restricted to this dimension;
-    a bar whose diagonal cost leaves float range raises ComputationError.
+    the inner sum of the Wasserstein formula restricted to this dimension.
+    A pair cost beyond float range is +inf and never stored; a diagonal
+    cost beyond it or a reduced cost below -max (when built), and a total
+    beyond it (``solve``), raise ComputationError.
     ``cost`` is the n x (m + n) csr_array the solve hands to scipy: row i
     stores min(r, 0) at the columns j < m where r < 0, then column m + i,
     left bar i's diagonal. ``diagonal`` holds each side's delta.
@@ -73,28 +77,23 @@ class MatchingProblem:
             raise InputError(f"intervals span several dimensions: {dims.tolist()}")
         if np.isinf(left.deaths).any() or np.isinf(right.deaths).any():
             raise InputError("matching problems hold finite intervals only")
-        with np.errstate(over="ignore"):
-            self.diagonal = tuple(((b.deaths - b.births) / 2.0) ** p for b in (left, right))
+        with np.errstate(over="ignore"):  # halves first, so only the power overflows
+            self.diagonal = tuple((b.deaths / 2.0 - b.births / 2.0) ** p for b in (left, right))
         if any(np.isinf(delta).any() for delta in self.diagonal):
             raise _out_of_range(p)
-        # count each row's negative cells, then compute the blocks again
-        # to store them, so the arrays are made once at their final size;
-        # each row ends in its diagonal column m + i, whose weight is the
-        # smallest positive float: LAPJVsp drops explicit zeros, and this
-        # weight leaves every real one, and so the optimal matchings, as is
+        # count each row's negative cells, then compute the blocks again to
+        # store them in arrays made at their final size; each row ends in its
+        # diagonal column m + i, weighted by the smallest positive float, as
+        # LAPJVsp drops explicit zeros and this leaves the optimal matchings
         blocks = self._reduced_costs
         counts = [np.count_nonzero(block < 0.0, axis=1) + 1 for _, _, block in blocks()]
         indptr = np.concatenate([[0], *counts]).cumsum(dtype=np.int32)
         data, columns = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-        ends = indptr[1:] - 1  # each row's diagonal slot
-        data[ends], columns[ends] = np.nextafter(0.0, 1.0), np.arange(m, m + n)
-        for lo, hi, block in blocks():
-            kept = np.flatnonzero(block < 0.0)
+        for (lo, hi, block), count in zip(blocks(), counts):
+            kept, at = np.flatnonzero(block < 0.0), np.cumsum(count - 1)
             rows = slice(indptr[lo], indptr[hi])
-            cells = np.ones(indptr[hi] - indptr[lo], dtype=bool)  # the block's real slots
-            cells[ends[lo:hi] - indptr[lo]] = False
-            data[rows][cells] = block.ravel()[kept]
-            columns[rows][cells] = kept % m
+            data[rows] = np.insert(block.ravel()[kept], at, np.nextafter(0.0, 1.0))
+            columns[rows] = np.insert(kept % m, at, np.arange(m + lo, m + hi))
         self.cost = csr_array((data, columns, indptr), shape=(n, m + n))
 
     def _reduced_costs(self):
@@ -107,39 +106,44 @@ class MatchingProblem:
         for lo in range(0, len(left), step):
             hi = min(lo + step, len(left))
             block, other = scratch[:, : hi - lo]
-            np.subtract(left.births[lo:hi, None], right.births, out=block)
-            np.abs(block, out=block)
-            np.subtract(left.deaths[lo:hi, None], right.deaths, out=other)
-            np.abs(other, out=other)
-            np.maximum(block, other, out=block)
-            with np.errstate(over="ignore"):  # an inf cell is never matched
+            with np.errstate(over="ignore"):
+                np.subtract(left.births[lo:hi, None], right.births, out=block)
+                np.abs(block, out=block)
+                np.subtract(left.deaths[lo:hi, None], right.deaths, out=other)
+                np.abs(other, out=other)
+                np.maximum(block, other, out=block)
                 np.power(block, self.p, out=block)
-            block -= left_diag[lo:hi, None]
-            block -= right_diag
+                block -= left_diag[lo:hi, None]
+                block -= right_diag
+            if (block == -np.inf).any():
+                raise _out_of_range(self.p)
             yield lo, hi, block
 
     def solve(self) -> float:
         """Minimal total p-th-power cost over all partial matchings."""
-        left_diag, right_diag = self.diagonal
-        n, m = len(left_diag), len(right_diag)
-        if not (n and m):
-            return float(left_diag.sum() + right_diag.sum())
-        from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
-        rows, cols = min_weight_full_bipartite_matching(self.cost)
-        real = cols < m
-        rows, cols = rows[real], cols[real]
         left, right = self.left, self.right
+        left_diag, right_diag = self.diagonal
+        matched = np.empty((2, 0), dtype=np.intp)  # one-sided: no solver
+        if len(left) and len(right):
+            from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+            matched = np.stack(min_weight_full_bipartite_matching(self.cost))
+        rows, cols = matched[:, matched[1] < len(right)]  # drop diagonal columns
         pairs = np.maximum(
             np.abs(left.births[rows] - right.births[cols]),
             np.abs(left.deaths[rows] - right.deaths[cols]),
         ) ** self.p
         unmatched = np.delete(left_diag, rows), np.delete(right_diag, cols)
-        return float(np.concatenate([pairs, *unmatched]).sum())
+        with np.errstate(over="ignore"):
+            total = float(np.concatenate([pairs, *unmatched]).sum())
+        if total == math.inf:
+            raise _out_of_range(self.p)
+        return total
 
 
 def _out_of_range(p: float) -> ComputationError:
-    return ComputationError(f"the p-th powers leave float range at p = {p}; use a smaller p")
+    advice = "; use a smaller p" if p > 1 else ""
+    return ComputationError(f"the p-th powers leave float range at p = {p}{advice}")
 
 
 def _sorts_after(a: Barcode, b: Barcode) -> bool:
@@ -188,21 +192,16 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
     if _sorts_after(b1, b2):
         b1, b2 = b2, b1
     total = 0.0
-    try:
-        with np.errstate(over="raise"):
-            for k in dims:
-                left, left_inf = _split(b1, k)
-                right, right_inf = _split(b2, k)
-                if len(left_inf) != len(right_inf):
-                    return math.inf
-                # sorted births pair in order, which is optimal for any p >= 1
-                # in one dimension
-                total += float(np.sum(np.abs(left_inf - right_inf) ** p))
-                total += MatchingProblem(left, right, p).solve()
-    except FloatingPointError:
-        total = math.inf
-    # a total beyond float range, or one whose precision has underflowed
-    # though the distance is not 0, would print a wrong distance
+    for k in dims:
+        left, left_inf = _split(b1, k)
+        right, right_inf = _split(b2, k)
+        if len(left_inf) != len(right_inf):
+            return math.inf
+        # sorted births pair in order, which is optimal for any p >= 1
+        # in one dimension
+        with np.errstate(over="ignore"):
+            total += float(np.sum(np.abs(left_inf - right_inf) ** p))
+        total += MatchingProblem(left, right, p).solve()
     if total == math.inf or (total < np.finfo(float).tiny and not _same_bars(b1, b2, dims)):
         raise _out_of_range(p)
     return total ** (1.0 / p)

@@ -101,6 +101,23 @@ def test_block_size_has_one_home():
     assert homes == [("geometry.py", "BLOCK_CELLS")]
 
 
+def test_float_range_has_one_rule():
+    # MatchingProblem keeps the float-range rule itself: no module turns
+    # numpy overflow into FloatingPointError and catches it
+    src = pathlib.Path(__file__).parents[1] / "src" / "phom"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                if "FloatingPointError" in names:
+                    found.append((path.name, node.lineno, "except FloatingPointError"))
+            elif isinstance(node, ast.keyword) and node.arg in ("over", "all"):
+                if isinstance(node.value, ast.Constant) and node.value.value == "raise":
+                    found.append((path.name, node.lineno, f'{node.arg}="raise"'))
+    assert found == []
+
+
 def test_public_names_have_callers():
     # every public name is used by the program itself, not only by tests:
     # some module other than __init__.py refers to it outside its own

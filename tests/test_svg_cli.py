@@ -237,14 +237,29 @@ def test_cli_compare_refuses_powers_beyond_float_range(tmp_path, capsys):
     for name, bar in (("a", "0.1,0.5"), ("b", "0.1,0.3"), ("c", "0,10"), ("d", "0,30")):
         files[name] = tmp_path / f"{name}.csv"
         files[name].write_text(f"dim,birth,death\n0,0,inf\n1,{bar}\n")
-    for left, right, p, out in (("a", "b", "400", "0.2"), ("c", "d", "200", "15")):
+    # at p = 1 a pair whose endpoint difference overflows is never matched,
+    # but a reduced cost below -max is refused, without advice
+    for name, bars in (("wide", "0,-1e308,-1e308\n1,-1e308,1e308"), ("high", "1,1e308,1e308")):
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text(f"dim,birth,death\n{bars}\n")
+    for left, right, p, out in (
+        ("a", "b", "400", "0.2"),
+        ("c", "d", "200", "15"),
+        ("wide", "high", "1", "1e+308"),
+    ):
         assert run_cli("compare", str(files[left]), str(files[right]), "--p", p) == 0
         assert capsys.readouterr().out == f"d_Wp = {out}\n"
-    for left, right, p in (("a", "b", "500"), ("a", "b", "1000"), ("c", "d", "300")):
+    for left, right, p in (
+        ("a", "b", "500"),
+        ("a", "b", "1000"),
+        ("c", "d", "300"),
+        ("wide", "wide", "1"),
+    ):
         assert run_cli("compare", str(files[left]), str(files[right]), "--p", p) == 2, p
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), p
         assert f"p = {float(p)}" in captured.err, p
+        assert ("use a smaller p" in captured.err) == (float(p) > 1), p
 
 
 def test_cli_persist_to_stdout(tmp_path, capsys):

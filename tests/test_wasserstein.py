@@ -300,6 +300,23 @@ def test_wasserstein_infinite_mismatch():
     assert math.isinf(wasserstein_p(b1, b2, 2.0))
 
 
+# (left, right, p, the p-th power of their distance or ComputationError)
+FLOAT_RANGE_CASES = (
+    (
+        bc(iv(1, -1e308, -1e308 + 1e293)),
+        bc(iv(1, 1e308, 1e308 + 1e293)),
+        1.0,
+        9.979201547673599e292,
+    ),
+    (bc(iv(1, -1e308, 1e308)), bc(iv(1, 1e308, 1e308)), 1.0, 1e308),
+    # a reduced cost 1 - 1e308 - 1e308 is below -max
+    (bc(iv(1, 0, 2e154)), bc(iv(1, 1, 1 + 2e154)), 2.0, ComputationError),
+    (bc(iv(1, -1e308, 1e308)), bc(iv(1, -1e308, 1e308)), 1.0, ComputationError),
+    # two diagonal costs of 1e308 sum beyond float range
+    (bc(iv(1, 0, 2e154), iv(1, 1, 2e154)), bc(), 2.0, ComputationError),
+)
+
+
 def test_wasserstein_refuses_powers_beyond_float_range():
     # 0.2**p underflows past p = 460 and 20**p overflows past p = 236:
     # either would print a wrong distance, so the distance is refused
@@ -321,6 +338,20 @@ def test_wasserstein_refuses_powers_beyond_float_range():
     half = (remote.deaths[0] - remote.births[0]) / 2
     want = (0.5**1.05 + half**1.05) ** (1 / 1.05)
     assert wasserstein_p(short, remote, 1.05) == pytest.approx(want)
+    # both entry points share one rule, and no warning escapes (pytest
+    # makes one an error): a pair whose cost leaves float range is never
+    # matched, even when its endpoint difference overflows at p = 1, and a
+    # diagonal of half a length beyond float max is halved first
+    for left, right, p, want in FLOAT_RANGE_CASES:
+        for solve in (
+            lambda: MatchingProblem(left, right, p).solve(),
+            lambda: wasserstein_p(left, right, p) ** p,
+        ):
+            if want is ComputationError:
+                with pytest.raises(ComputationError, match=f"p = {p}"):
+                    solve()
+            else:
+                assert solve() == want
 
 
 def test_matching_problem_refuses_powers_beyond_float_range():
@@ -337,6 +368,13 @@ def test_matching_problem_refuses_powers_beyond_float_range():
     assert MatchingProblem(bc(iv(1, 0, 10)), bc(iv(1, 0, 30)), 200.0).solve() == pytest.approx(
         15.0**200, rel=1e-9
     )
+    # at p = 1, the smallest p compare accepts, the error gives no advice
+    for left, right, p, want in FLOAT_RANGE_CASES:
+        if want is ComputationError:
+            with pytest.raises(ComputationError) as err:
+                MatchingProblem(left, right, p).solve()
+            advice = "; use a smaller p" if p > 1 else ""
+            assert str(err.value) == f"the p-th powers leave float range at p = {p}{advice}"
 
 
 def test_wasserstein_p_validation():
