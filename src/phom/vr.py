@@ -5,8 +5,8 @@ edges. Two edge conventions are supported: under ``paper-2eps`` a pair
 (i, j) is admitted once d(i, j) <= 2*eps, so its birth scale is d/2;
 under ``diameter-eps`` the rule is d(i, j) <= eps and the birth is d
 itself. Tooling in the wild uses both, and published simplex counts only
-make sense under one of them, so the convention is an explicit argument
-everywhere.
+make sense under one of them, so ``build_vr`` takes the convention as an
+argument, defaulting to ``paper-2eps`` as the CLI does.
 
 A filtration is a few packed numpy arrays, not a Python object per
 simplex: per dimension, each simplex's facets as int32 positions among

@@ -8,16 +8,19 @@ birth, and a mismatch in their count in any dimension makes the barcodes
 infinitely far apart (returned as math.inf, not an error). Rather than
 print a wrong distance, MatchingProblem never matches a pair whose cost
 leaves float range, and refuses (ComputationError) a diagonal cost beyond
-it, a reduced cost below -max and a total beyond it; wasserstein_p refuses
-a total over all dimensions beyond it, or below 2.2e-308 while bars differ.
+it and a total beyond it; wasserstein_p refuses a total over all
+dimensions beyond it, or below 2.2e-308 while bars differ.
 
 With delta(a) the cost of sending bar a to the diagonal and c(a, b) that
 of matching a with b, a partial matching costs every bar's delta plus
 r(a, b) = c(a, b) - delta(a) - delta(b) over its pairs, and only pairs
 with r < 0 help. So only the negative cells of the n x m reduced costs
-are stored, and scipy's sparse LAPJVsp (Jonker & Volgenant 1987) matches
-each left bar to one of them or to its own diagonal column, exactly: a
-brute-force matcher and a dense assignment in the test suite verify it.
+are stored, halved, as r/2 >= -max while every delta is at most max, and
+scipy's sparse LAPJVsp (Jonker & Volgenant 1987) matches each left bar to
+one of them or to its own diagonal column, exactly: a brute-force matcher
+and a dense assignment in the test suite verify it. Halving is exact above
+the subnormal range and LAPJVsp only adds, subtracts and compares weights,
+so it picks the matching it would on r.
 scipy.sparse is imported only where a matching is built and solved, so
 runs that compare no barcodes never load scipy.
 """
@@ -52,11 +55,12 @@ class MatchingProblem:
     dimension. Costs are raised to the power p, so the solved objective is
     the inner sum of the Wasserstein formula restricted to this dimension.
     A pair cost beyond float range is +inf and never stored; a diagonal
-    cost beyond it or a reduced cost below -max (when built), and a total
-    beyond it (``solve``), raise ComputationError.
-    ``cost`` is the n x (m + n) csr_array the solve hands to scipy: row i
-    stores min(r, 0) at the columns j < m where r < 0, then column m + i,
-    left bar i's diagonal. ``diagonal`` holds each side's delta.
+    cost beyond it (when built) and a total beyond it (``solve``) raise
+    ComputationError. ``cost`` is the n x (m + n) csr_array the solve
+    hands to scipy: row i stores min(r, 0)/2, in [-max, 0), at the columns
+    j < m where r < 0, then column m + i, left bar i's diagonal; an r within
+    about 1e-308 of 0 may halve to -0.0 and go unstored, which moves the
+    optimum by less than that. ``diagonal`` holds each side's delta.
     """
 
     left: Barcode
@@ -97,10 +101,10 @@ class MatchingProblem:
         self.cost = csr_array((data, columns, indptr), shape=(n, m + n))
 
     def _reduced_costs(self):
-        """Yield (lo, hi, block) with block[i, j] = r(left[lo + i], right[j])
+        """Yield (lo, hi, block) with block[i, j] = r(left[lo + i], right[j]) / 2
         for consecutive row blocks; each block is overwritten by the next."""
         left, right = self.left, self.right
-        left_diag, right_diag = self.diagonal
+        left_half, right_half = (delta / 2.0 for delta in self.diagonal)
         step = max(1, BLOCK_CELLS // max(len(right), 1))
         scratch = np.empty((2, min(step, len(left)), len(right)))
         for lo in range(0, len(left), step):
@@ -113,10 +117,9 @@ class MatchingProblem:
                 np.abs(other, out=other)
                 np.maximum(block, other, out=block)
                 np.power(block, self.p, out=block)
-                block -= left_diag[lo:hi, None]
-                block -= right_diag
-            if (block == -np.inf).any():
-                raise _out_of_range(self.p)
+                block *= 0.5
+                block -= left_half[lo:hi, None]
+                block -= right_half
             yield lo, hi, block
 
     def solve(self) -> float:
@@ -149,12 +152,8 @@ def _out_of_range(p: float) -> ComputationError:
 def _sorts_after(a: Barcode, b: Barcode) -> bool:
     """Whether a's bars come after b's in lexicographic order of their
     (dim, birth, death) sequences, a proper prefix coming first."""
-    n = min(len(a), len(b))
-    x, y = (np.stack([c.dims[:n], c.births[:n], c.deaths[:n]]) for c in (a, b))
-    differ = np.flatnonzero((x != y).any(axis=0))
-    if len(differ) == 0:
-        return len(a) > len(b)
-    return tuple(x[:, differ[0]]) > tuple(y[:, differ[0]])
+    a, b = (list(zip(c.dims.tolist(), c.births.tolist(), c.deaths.tolist())) for c in (a, b))
+    return a > b
 
 
 def _same_bars(a: Barcode, b: Barcode, dims) -> bool:

@@ -238,14 +238,21 @@ def test_cli_compare_refuses_powers_beyond_float_range(tmp_path, capsys):
         files[name] = tmp_path / f"{name}.csv"
         files[name].write_text(f"dim,birth,death\n0,0,inf\n1,{bar}\n")
     # at p = 1 a pair whose endpoint difference overflows is never matched,
-    # but a reduced cost below -max is refused, without advice
-    for name, bars in (("wide", "0,-1e308,-1e308\n1,-1e308,1e308"), ("high", "1,1e308,1e308")):
+    # and a wide bar matches itself, but a total beyond float max is
+    # refused, without advice
+    for name, bars in (
+        ("wide", "0,-1e308,-1e308\n1,-1e308,1e308\n"),
+        ("high", "1,1e308,1e308\n"),
+        ("wides", "1,-1e308,1e308\n1,-1e308,1e308\n"),
+        ("none", ""),
+    ):
         files[name] = tmp_path / f"{name}.csv"
-        files[name].write_text(f"dim,birth,death\n{bars}\n")
+        files[name].write_text(f"dim,birth,death\n{bars}")
     for left, right, p, out in (
         ("a", "b", "400", "0.2"),
         ("c", "d", "200", "15"),
         ("wide", "high", "1", "1e+308"),
+        ("wide", "wide", "1", "0.0000"),
     ):
         assert run_cli("compare", str(files[left]), str(files[right]), "--p", p) == 0
         assert capsys.readouterr().out == f"d_Wp = {out}\n"
@@ -253,7 +260,7 @@ def test_cli_compare_refuses_powers_beyond_float_range(tmp_path, capsys):
         ("a", "b", "500"),
         ("a", "b", "1000"),
         ("c", "d", "300"),
-        ("wide", "wide", "1"),
+        ("wides", "none", "1"),
     ):
         assert run_cli("compare", str(files[left]), str(files[right]), "--p", p) == 2, p
         captured = capsys.readouterr()

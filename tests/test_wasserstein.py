@@ -77,14 +77,15 @@ def test_matching_problem_pair_cost_cells():
     rng = np.random.default_rng(3)
     left = bc(iv(0, 0, 1), iv(0, 0, 1), *random_finite(rng, 0, 30))
     right = bc(iv(0, 0, 1), iv(0, 0, 2), *random_finite(rng, 0, 25))
+    # the cost holds halved reduced costs, and doubling them is exact
     for p in (1.0, 2.0):
-        cost = MatchingProblem(left, right, p).cost.toarray()[:, : len(right)]
+        cost = 2 * MatchingProblem(left, right, p).cost.toarray()[:, : len(right)]
         for i, a in enumerate(left):
             for j, b in enumerate(right):
                 assert_reduced_cell(cost[i, j], (a.birth, a.death), (b.birth, b.death), p)
     # equal bars save both diagonal costs, and the L-infinity distance
     # takes the larger endpoint gap: (0, 1) against (0, 2) costs 1, not 2
-    cost = MatchingProblem(bc(iv(0, 0, 1)), bc(iv(0, 0, 1), iv(0, 0, 2)), 1.0).cost.toarray()
+    cost = 2 * MatchingProblem(bc(iv(0, 0, 1)), bc(iv(0, 0, 1), iv(0, 0, 2)), 1.0).cost.toarray()
     assert cost[0, 0] == -1.0 and cost[0, 1] == -0.5
     # infinite bars are priced by birth alone
     assert wasserstein_p(bc(iv(1, 0, math.inf)), bc(iv(1, 0.3, math.inf)), 1.0) == 0.3
@@ -173,8 +174,9 @@ def test_matching_problem_cost_matrix_shape():
 
 def test_matching_problem_hands_scipy_the_improving_pairs(monkeypatch):
     # the solver gets the cost itself, n rows and m + n columns: the
-    # stored cells, every one negative, and then column m + i alone, with
-    # the smallest positive weight, for sending left bar i to the diagonal
+    # stored cells, every one negative and half its reduced cost, and then
+    # column m + i alone, with the smallest positive weight, for sending
+    # left bar i to the diagonal
     import scipy.sparse.csgraph
 
     seen = []
@@ -193,13 +195,13 @@ def test_matching_problem_hands_scipy_the_improving_pairs(monkeypatch):
         for prob in (tall, wide):
             n, m = len(prob.left), len(prob.right)
             dense = dense_reduced_costs(prob.left, prob.right, p)
-            assert np.array_equal(prob.cost.toarray()[:, :m], dense)
+            assert np.array_equal(2 * prob.cost.toarray()[:, :m], dense)
             seen.clear()
             prob.solve()
             (graph,) = seen
             assert graph is prob.cost
             assert graph.shape == (n, m + n)
-            assert np.array_equal(graph.toarray()[:, :m], dense)
+            assert np.array_equal(2 * graph.toarray()[:, :m], dense)
             assert np.all(graph.data[graph.indices < m] < 0.0)
             assert np.array_equal(graph.toarray()[:, m:], np.diag(np.full(n, tiny)))
         assert tall.cost.shape == (40, 25 + 40)
@@ -270,7 +272,7 @@ def test_wasserstein_matches_dense_oracle_bit_for_bit():
             left, right = (x[(x.dims == k) & np.isfinite(x.deaths)] for x in (a, b))
             prob = MatchingProblem(left, right, 2.0)
             dense = dense_reduced_costs(left, right, 2.0)
-            assert np.array_equal(prob.cost.toarray()[:, : len(right)], dense)
+            assert np.array_equal(2 * prob.cost.toarray()[:, : len(right)], dense)
 
 
 def test_wasserstein_identity_and_symmetry():
@@ -309,11 +311,12 @@ FLOAT_RANGE_CASES = (
         9.979201547673599e292,
     ),
     (bc(iv(1, -1e308, 1e308)), bc(iv(1, 1e308, 1e308)), 1.0, 1e308),
-    # a reduced cost 1 - 1e308 - 1e308 is below -max
-    (bc(iv(1, 0, 2e154)), bc(iv(1, 1, 1 + 2e154)), 2.0, ComputationError),
-    (bc(iv(1, -1e308, 1e308)), bc(iv(1, -1e308, 1e308)), 1.0, ComputationError),
+    # a reduced cost 1 - 1e308 - 1e308 is below -max, but its half is not
+    (bc(iv(1, 0, 2e154)), bc(iv(1, 1, 1 + 2e154)), 2.0, 1.0),
+    (bc(iv(1, -1e308, 1e308)), bc(iv(1, -1e308, 1e308)), 1.0, 0.0),
     # two diagonal costs of 1e308 sum beyond float range
     (bc(iv(1, 0, 2e154), iv(1, 1, 2e154)), bc(), 2.0, ComputationError),
+    (bc(iv(1, -1e308, 1e308), iv(1, -1e308, 1e308)), bc(), 1.0, ComputationError),
 )
 
 
@@ -375,6 +378,32 @@ def test_matching_problem_refuses_powers_beyond_float_range():
                 MatchingProblem(left, right, p).solve()
             advice = "; use a smaller p" if p > 1 else ""
             assert str(err.value) == f"the p-th powers leave float range at p = {p}{advice}"
+
+
+def test_matching_problem_hands_scipy_finite_nonzero_weights(monkeypatch):
+    # min_weight_full_bipartite_matching documents its weights as the
+    # reals without 0: halved, no reduced cost leaves float range, even
+    # where the unhalved one would fall below -max
+    import scipy.sparse.csgraph
+
+    weights = []
+
+    def matching(graph):
+        weights.append(graph.data)
+        return real(graph)
+
+    real = scipy.sparse.csgraph.min_weight_full_bipartite_matching
+    monkeypatch.setattr(scipy.sparse.csgraph, "min_weight_full_bipartite_matching", matching)
+    problems = [case[:3] for case in FLOAT_RANGE_CASES if case[3] is not ComputationError]
+    rng = np.random.default_rng(16)
+    for p in (1.0, 2.0, 3.5) * 20:
+        n, m = rng.integers(1, 30, 2)
+        problems.append((random_finite(rng, 1, n), random_finite(rng, 1, m), p))
+    for left, right, p in problems:
+        weights.clear()
+        MatchingProblem(left, right, p).solve()
+        (data,) = weights
+        assert np.all(np.isfinite(data)) and np.all(data != 0.0)
 
 
 def test_wasserstein_p_validation():
