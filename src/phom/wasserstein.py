@@ -15,12 +15,9 @@ With delta(a) the cost of sending bar a to the diagonal and c(a, b) that
 of matching a with b, a partial matching costs every bar's delta plus
 r(a, b) = c(a, b) - delta(a) - delta(b) over its pairs, and only pairs
 with r < 0 help. So only the negative cells of the n x m reduced costs
-are stored, halved, as r/2 >= -max while every delta is at most max, and
-scipy's sparse LAPJVsp (Jonker & Volgenant 1987) matches each left bar to
-one of them or to its own diagonal column, exactly: a brute-force matcher
-and a dense assignment in the test suite verify it. Halving is exact above
-the subnormal range and LAPJVsp only adds, subtracts and compares weights,
-so it picks the matching it would on r.
+are stored, and scipy's sparse LAPJVsp (Jonker & Volgenant 1987) matches
+each left bar to one of them or to its own diagonal column, exactly: a
+brute-force matcher and a dense assignment in the test suite verify it.
 scipy.sparse is imported only where a matching is built and solved, so
 runs that compare no barcodes never load scipy.
 """
@@ -57,10 +54,12 @@ class MatchingProblem:
     A pair cost beyond float range is +inf and never stored; a diagonal
     cost beyond it (when built) and a total beyond it (``solve``) raise
     ComputationError. ``cost`` is the n x (m + n) csr_array the solve
-    hands to scipy: row i stores min(r, 0)/2, in [-max, 0), at the columns
-    j < m where r < 0, then column m + i, left bar i's diagonal; an r within
-    about 1e-308 of 0 may halve to -0.0 and go unstored, which moves the
-    optimum by less than that. ``diagonal`` holds each side's delta.
+    hands to scipy: row i stores r at the columns j < m where r < 0, then
+    column m + i, left bar i's diagonal. If the two sides' largest deltas
+    sum beyond float max, an r may fall below -max, so it stores r/2, at
+    most -5e-324, instead: the solver only adds, subtracts and compares
+    weights, so it picks the same matching unless halving ties r values
+    in the subnormal range. ``diagonal`` holds each side's delta.
     """
 
     left: Barcode
@@ -101,10 +100,12 @@ class MatchingProblem:
         self.cost = csr_array((data, columns, indptr), shape=(n, m + n))
 
     def _reduced_costs(self):
-        """Yield (lo, hi, block) with block[i, j] = r(left[lo + i], right[j]) / 2
-        for consecutive row blocks; each block is overwritten by the next."""
+        """Yield (lo, hi, block) with block[i, j] = r(left[lo + i], right[j]),
+        halved as ``cost`` says, for consecutive row blocks; each block is
+        overwritten by the next."""
         left, right = self.left, self.right
-        left_half, right_half = (delta / 2.0 for delta in self.diagonal)
+        left_diag, right_diag = self.diagonal
+        halve = math.isinf(float(left_diag.max(initial=0.0)) + float(right_diag.max(initial=0.0)))
         step = max(1, BLOCK_CELLS // max(len(right), 1))
         scratch = np.empty((2, min(step, len(left)), len(right)))
         for lo in range(0, len(left), step):
@@ -117,9 +118,13 @@ class MatchingProblem:
                 np.abs(other, out=other)
                 np.maximum(block, other, out=block)
                 np.power(block, self.p, out=block)
-                block *= 0.5
-                block -= left_half[lo:hi, None]
-                block -= right_half
+            block -= left_diag[lo:hi, None]  # at least -max
+            if not halve:
+                block -= right_diag
+            else:  # keep r < 0 negative where its half rounds to 0
+                improving = block < right_diag
+                np.subtract(block / 2.0, right_diag / 2.0, out=block)
+                np.minimum(block, -5e-324, out=block, where=improving)
             yield lo, hi, block
 
     def solve(self) -> float:
@@ -152,8 +157,8 @@ def _out_of_range(p: float) -> ComputationError:
 def _sorts_after(a: Barcode, b: Barcode) -> bool:
     """Whether a's bars come after b's in lexicographic order of their
     (dim, birth, death) sequences, a proper prefix coming first."""
-    a, b = (list(zip(c.dims.tolist(), c.births.tolist(), c.deaths.tolist())) for c in (a, b))
-    return a > b
+    bars = (zip(c.dims, c.births, c.deaths) for c in (a, b))
+    return bool(next((x > y for x, y in zip(*bars) if x != y), len(a) > len(b)))
 
 
 def _same_bars(a: Barcode, b: Barcode, dims) -> bool:
@@ -196,8 +201,7 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
         right, right_inf = _split(b2, k)
         if len(left_inf) != len(right_inf):
             return math.inf
-        # sorted births pair in order, which is optimal for any p >= 1
-        # in one dimension
+        # sorted births pair in order, optimal for any p >= 1 in one dimension
         with np.errstate(over="ignore"):
             total += float(np.sum(np.abs(left_inf - right_inf) ** p))
         total += MatchingProblem(left, right, p).solve()

@@ -77,15 +77,14 @@ def test_matching_problem_pair_cost_cells():
     rng = np.random.default_rng(3)
     left = bc(iv(0, 0, 1), iv(0, 0, 1), *random_finite(rng, 0, 30))
     right = bc(iv(0, 0, 1), iv(0, 0, 2), *random_finite(rng, 0, 25))
-    # the cost holds halved reduced costs, and doubling them is exact
     for p in (1.0, 2.0):
-        cost = 2 * MatchingProblem(left, right, p).cost.toarray()[:, : len(right)]
+        cost = MatchingProblem(left, right, p).cost.toarray()[:, : len(right)]
         for i, a in enumerate(left):
             for j, b in enumerate(right):
                 assert_reduced_cell(cost[i, j], (a.birth, a.death), (b.birth, b.death), p)
     # equal bars save both diagonal costs, and the L-infinity distance
     # takes the larger endpoint gap: (0, 1) against (0, 2) costs 1, not 2
-    cost = 2 * MatchingProblem(bc(iv(0, 0, 1)), bc(iv(0, 0, 1), iv(0, 0, 2)), 1.0).cost.toarray()
+    cost = MatchingProblem(bc(iv(0, 0, 1)), bc(iv(0, 0, 1), iv(0, 0, 2)), 1.0).cost.toarray()
     assert cost[0, 0] == -1.0 and cost[0, 1] == -0.5
     # infinite bars are priced by birth alone
     assert wasserstein_p(bc(iv(1, 0, math.inf)), bc(iv(1, 0.3, math.inf)), 1.0) == 0.3
@@ -174,9 +173,8 @@ def test_matching_problem_cost_matrix_shape():
 
 def test_matching_problem_hands_scipy_the_improving_pairs(monkeypatch):
     # the solver gets the cost itself, n rows and m + n columns: the
-    # stored cells, every one negative and half its reduced cost, and then
-    # column m + i alone, with the smallest positive weight, for sending
-    # left bar i to the diagonal
+    # stored cells, every one negative, and then column m + i alone, with
+    # the smallest positive weight, for sending left bar i to the diagonal
     import scipy.sparse.csgraph
 
     seen = []
@@ -195,13 +193,13 @@ def test_matching_problem_hands_scipy_the_improving_pairs(monkeypatch):
         for prob in (tall, wide):
             n, m = len(prob.left), len(prob.right)
             dense = dense_reduced_costs(prob.left, prob.right, p)
-            assert np.array_equal(2 * prob.cost.toarray()[:, :m], dense)
+            assert np.array_equal(prob.cost.toarray()[:, :m], dense)
             seen.clear()
             prob.solve()
             (graph,) = seen
             assert graph is prob.cost
             assert graph.shape == (n, m + n)
-            assert np.array_equal(2 * graph.toarray()[:, :m], dense)
+            assert np.array_equal(graph.toarray()[:, :m], dense)
             assert np.all(graph.data[graph.indices < m] < 0.0)
             assert np.array_equal(graph.toarray()[:, m:], np.diag(np.full(n, tiny)))
         assert tall.cost.shape == (40, 25 + 40)
@@ -272,7 +270,7 @@ def test_wasserstein_matches_dense_oracle_bit_for_bit():
             left, right = (x[(x.dims == k) & np.isfinite(x.deaths)] for x in (a, b))
             prob = MatchingProblem(left, right, 2.0)
             dense = dense_reduced_costs(left, right, 2.0)
-            assert np.array_equal(2 * prob.cost.toarray()[:, : len(right)], dense)
+            assert np.array_equal(prob.cost.toarray()[:, : len(right)], dense)
 
 
 def test_wasserstein_identity_and_symmetry():
@@ -317,6 +315,15 @@ FLOAT_RANGE_CASES = (
     # two diagonal costs of 1e308 sum beyond float range
     (bc(iv(1, 0, 2e154), iv(1, 1, 2e154)), bc(), 2.0, ComputationError),
     (bc(iv(1, -1e308, 1e308), iv(1, -1e308, 1e308)), bc(), 1.0, ComputationError),
+    # equal bars still match where r is -2 * 5e-324, whole or, beside a
+    # wide bar, halved
+    (bc(iv(1, 0.1, 0.5)), bc(iv(1, 0.1, 0.5)), 462.5, 0.0),
+    (
+        bc(iv(1, -1e308, 1e308), iv(1, 0, 1e-323)),
+        bc(iv(1, -1e308, 1e308), iv(1, 0, 1e-323)),
+        1.0,
+        0.0,
+    ),
 )
 
 
@@ -333,7 +340,7 @@ def test_wasserstein_refuses_powers_beyond_float_range():
         with pytest.raises(ComputationError, match=f"p = {p}"):
             wasserstein_p(*pair, p)
     # equal bars, or bars that differ only by zero-length ones, are at 0
-    for p in (1000.0, 1e9):
+    for p in (462.5, 1000.0, 1e9):
         assert wasserstein_p(near[0], near[0], p) == 0.0
         assert wasserstein_p(near[0], bc(inf_bar, iv(1, 0.1, 0.5), iv(1, 2, 2)), p) == 0.0
     # a pair cost beyond float range is never matched: the distance holds
@@ -382,8 +389,8 @@ def test_matching_problem_refuses_powers_beyond_float_range():
 
 def test_matching_problem_hands_scipy_finite_nonzero_weights(monkeypatch):
     # min_weight_full_bipartite_matching documents its weights as the
-    # reals without 0: halved, no reduced cost leaves float range, even
-    # where the unhalved one would fall below -max
+    # reals without 0: no weight leaves float range, even where a reduced
+    # cost falls below -max, and none rounds to 0
     import scipy.sparse.csgraph
 
     weights = []
