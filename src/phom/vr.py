@@ -131,9 +131,10 @@ def build_vr(
     lies in p, s or facet 0, so the birth is the largest of theirs, as a
     rank among the distinct edge lengths; one sort by rank then gives the
     (birth, dim, vertices) order. The running simplex count must stay
-    within ``max_simplices`` (default: the memory budget over
-    ESTIMATED_BYTES_PER_SIMPLEX) before a block of children gets its
-    facets, or ResourceError is raised.
+    within ``max_simplices`` (default: what the memory budget leaves
+    after the n x n distance matrix, over ESTIMATED_BYTES_PER_SIMPLEX)
+    before a block of children gets its facets, or ResourceError is
+    raised.
     """
     if not 0.0 < eps_max < math.inf:
         raise InputError(f"eps_max must be positive and finite, got {eps_max}")
@@ -141,8 +142,9 @@ def build_vr(
     if not 0 <= max_dim <= n - 1:
         raise InputError(f"max_dim must be in [0, {n - 1}], got {max_dim}")
     scale = _birth_scale(edge_rule)
-    if max_simplices is None:  # geometry's budget, read when called
-        max_simplices = geometry.DEFAULT_MEMORY_BUDGET_BYTES // ESTIMATED_BYTES_PER_SIMPLEX
+    if max_simplices is None:  # geometry's budget, read when called, less the matrix
+        room = max(0, geometry.DEFAULT_MEMORY_BUDGET_BYTES - dm.entries.nbytes)
+        max_simplices = room // ESTIMATED_BYTES_PER_SIMPLEX
     elif max_simplices < 1:
         raise InputError(f"max_simplices must be positive, got {max_simplices}")
     if max_simplices < n:

@@ -8,8 +8,9 @@ birth, and a mismatch in their count in any dimension makes the barcodes
 infinitely far apart (returned as math.inf, not an error). Rather than
 print a wrong distance, MatchingProblem never matches a pair whose cost
 leaves float range, and refuses (ComputationError) a diagonal cost beyond
-it and a total beyond it; wasserstein_p refuses a total over all
-dimensions beyond it, or below 2.2e-308 while bars differ.
+it and a total beyond it. wasserstein_p answers 0 for two barcodes with
+the same bars before it takes any power, and refuses any other total over
+all dimensions beyond float range or below 2.2e-308.
 
 With delta(a) the cost of sending bar a to the diagonal and c(a, b) that
 of matching a with b, a partial matching costs every bar's delta plus
@@ -59,7 +60,9 @@ class MatchingProblem:
     sum beyond float max, an r may fall below -max, so it stores r/2, at
     most -5e-324, instead: the solver only adds, subtracts and compares
     weights, so it picks the same matching unless halving ties r values
-    in the subnormal range. ``diagonal`` holds each side's delta.
+    in the subnormal range. ``diagonal`` holds each side's delta. Every
+    problem goes to the solver, whether a side is empty or not: with no
+    right bars the only full matching sends each left bar to its diagonal.
     """
 
     left: Barcode
@@ -129,13 +132,11 @@ class MatchingProblem:
 
     def solve(self) -> float:
         """Minimal total p-th-power cost over all partial matchings."""
+        from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
         left, right = self.left, self.right
         left_diag, right_diag = self.diagonal
-        matched = np.empty((2, 0), dtype=np.intp)  # one-sided: no solver
-        if len(left) and len(right):
-            from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
-            matched = np.stack(min_weight_full_bipartite_matching(self.cost))
+        matched = np.stack(min_weight_full_bipartite_matching(self.cost))
         rows, cols = matched[:, matched[1] < len(right)]  # drop diagonal columns
         pairs = np.maximum(
             np.abs(left.births[rows] - right.births[cols]),
@@ -182,8 +183,9 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
     Each homology dimension is matched independently (optionally
     restricted to the nonempty list ``dims`` of nonnegative dimensions);
     the p-th-power costs of all dimensions sum under a single 1/p root.
-    Returns math.inf when any dimension's infinite-bar counts differ. Two
-    empty barcodes are at distance 0.
+    Returns math.inf when any dimension's infinite-bar counts differ.
+    Barcodes with the same bars of positive length in ``dims``, two empty
+    ones among them, are at distance 0 at every p.
     """
     if not 1.0 <= p < math.inf:
         raise InputError(f"p must satisfy 1 <= p < inf, got {p}")
@@ -191,6 +193,8 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
         dims = np.union1d(b1.dims, b2.dims).tolist()
     elif not dims or min(dims) < 0 or len(set(dims)) < len(dims):
         raise InputError(f"dims must list distinct nonnegative dimensions, got {dims}")
+    if _same_bars(b1, b2, dims):  # before any power can leave float range
+        return 0.0
     # canonical argument order makes d(a, b) and d(b, a) run the exact
     # same float computation, so symmetry holds to the last bit
     if _sorts_after(b1, b2):
@@ -205,6 +209,6 @@ def wasserstein_p(b1: Barcode, b2: Barcode, p: float = 2.0, dims=None) -> float:
         with np.errstate(over="ignore"):
             total += float(np.sum(np.abs(left_inf - right_inf) ** p))
         total += MatchingProblem(left, right, p).solve()
-    if total == math.inf or (total < np.finfo(float).tiny and not _same_bars(b1, b2, dims)):
+    if total == math.inf or total < np.finfo(float).tiny:
         raise _out_of_range(p)
     return total ** (1.0 / p)

@@ -239,12 +239,14 @@ def test_cli_compare_refuses_powers_beyond_float_range(tmp_path, capsys):
         files[name].write_text(f"dim,birth,death\n0,0,inf\n1,{bar}\n")
     # at p = 1 a pair whose endpoint difference overflows is never matched,
     # and a wide bar matches itself, but a total beyond float max is
-    # refused, without advice
+    # refused, without advice; a file compared with itself is at 0 even
+    # where a bar's diagonal cost leaves float range
     for name, bars in (
         ("wide", "0,-1e308,-1e308\n1,-1e308,1e308\n"),
         ("high", "1,1e308,1e308\n"),
         ("wides", "1,-1e308,1e308\n1,-1e308,1e308\n"),
         ("none", ""),
+        ("long", "0,0,1\n1,0,1e200\n"),
     ):
         files[name] = tmp_path / f"{name}.csv"
         files[name].write_text(f"dim,birth,death\n{bars}")
@@ -253,6 +255,7 @@ def test_cli_compare_refuses_powers_beyond_float_range(tmp_path, capsys):
         ("c", "d", "200", "15"),
         ("wide", "high", "1", "1e+308"),
         ("wide", "wide", "1", "0.0000"),
+        ("long", "long", "2", "0.0000"),
     ):
         assert run_cli("compare", str(files[left]), str(files[right]), "--p", p) == 0
         assert capsys.readouterr().out == f"d_Wp = {out}\n"
@@ -420,9 +423,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "budget" in capsys.readouterr().err
     # a matching whose cost matrix would exceed the memory budget: exit 2
-    big = tmp_path / "big.csv"
-    big.write_text("dim,birth,death\n" + "".join(f"0,0,{i + 1}\n" for i in range(33_000)))
-    assert run_cli("compare", str(big), str(big)) == 2
+    # (a file compared with itself is answered before any matching)
+    big, other = tmp_path / "big.csv", tmp_path / "other.csv"
+    bars = "dim,birth,death\n" + "".join(f"0,0,{i + 1}\n" for i in range(33_000))
+    big.write_text(bars)
+    other.write_text(bars.replace("0,0,33000\n", "0,0,33001\n"))
+    assert run_cli("compare", str(big), str(other)) == 2
     assert "budget" in capsys.readouterr().err
     # a distance matrix over the memory budget: exit 2
     many = tmp_path / "many.csv"

@@ -1,12 +1,17 @@
 """The benchmark's tracer (perfbench/tracing.py) hooks package functions by
 name and reads their arguments' attributes. These tests run it on small
 in-process jobs, so a change that removes a module or member it relies
-on fails here rather than only in a traced benchmark run."""
+on fails here rather than only in a traced benchmark run. The last test
+runs each benchmark workload (perfbench/workloads.py) twice under the
+tracer and makes the checks a traced benchmark run makes."""
 
+import contextlib
 import importlib.util
+import io
 import pathlib
 
 import numpy as np
+import pytest
 
 import phom
 import phom.persistence
@@ -24,7 +29,7 @@ from phom import (
 )
 from phom.cli import main
 
-TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 # hooks of functions the package no longer has; the tracer skips them
 RETIRED_HOOKS = {
     "phom.homology.betti_numbers",
@@ -34,11 +39,16 @@ RETIRED_HOOKS = {
 EPS, MAX_DIM = 0.6, 2
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by path."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+workloads = load_perfbench("workloads")
 
 
 def traced_job(tmp_path, command, *flags):
@@ -46,7 +56,7 @@ def traced_job(tmp_path, command, *flags):
     cloud; return the job's counts and its filtration, built again."""
     points = tmp_path / "points.csv"
     phom.write_point_csv(phom.gen_fibonacci_sphere(60), points)
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     code, counts = tracer.run_job(0, lambda: main([command, str(points), *flags]))
     assert code == 0
     assert set(tracer.missing) <= RETIRED_HOOKS
@@ -94,7 +104,7 @@ def test_tracer_counts_compare_job(tmp_path, capsys, monkeypatch):
         bars = zip(rng.integers(0, 2, n), rng.uniform(0, 1, n), rng.uniform(0, 0.5, n))
         rows += [f"{dim},{birth:.9g},{birth + length:.9g}" for dim, birth, length in bars]
         path.write_text("\n".join(rows) + "\n")
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     code, counts = tracer.run_job(0, lambda: main(["compare", *map(str, paths), "--p", "2"]))
     assert code == 0
     assert set(tracer.missing) <= RETIRED_HOOKS
@@ -112,3 +122,40 @@ def test_tracer_counts_compare_job(tmp_path, capsys, monkeypatch):
     wasserstein_p(left, right, 2.0)
     assert len(sizes) == 2  # one problem per dimension
     assert counts["wasserstein.cost_cells"] == sum(sizes)
+
+
+def cli_call(argv):
+    """Run `phom <argv>` in-process; return (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_traced_workload_passes_the_benchmark_checks(tmp_path, name):
+    # what perfbench/worker.py's verify role and perfbench/run.py check on
+    # a traced run at seed 0: every job's output, equal counts across
+    # traced jobs, and on points the full complex, as the traced
+    # phom.vr.build_vr returned it and as `phom vr` counts it
+    workdir = str(tmp_path)
+    workloads.make_inputs(name, 0, workdir)
+    if name in workloads.POINT_WORKLOADS:
+        good = lambda out: out == workloads.EXPECTED_OUTPUT[name]
+    else:
+        reference = workloads.reference_distance(workdir)
+        good = lambda out: workloads.distance_matches(out, reference)
+    argv = workloads.job_argv(name, workdir)
+    tracer = load_perfbench("tracing").Tracer()
+    runs = []
+    for job in range(2):
+        (code, stdout), counts = tracer.run_job(job, lambda: cli_call(argv))
+        assert code == 0
+        assert good(workloads.job_output(name, workdir, stdout))
+        runs.append(counts)
+    assert runs[0] == runs[1]
+    if name in workloads.POINT_WORKLOADS:
+        simplices = workloads.SIMPLICES[name]
+        assert runs[0]["vr.simplices"] == simplices
+        code, stdout = cli_call(workloads.vr_argv(name, workdir))
+        assert code == 0 and f"total: {simplices}" in stdout.splitlines()

@@ -148,20 +148,37 @@ def test_build_vr_child_index_budget(monkeypatch):
 
 
 def test_build_vr_default_cap_reads_the_budget(monkeypatch):
-    # the default simplex cap is geometry's memory budget over the price of
-    # a simplex, read when build_vr is called: 192,000 B caps the 4,202
-    # simplices of the 500-point sphere at 0.25 to 1,000
+    # the default simplex cap is what geometry's memory budget leaves after
+    # the distance matrix, over the price of a simplex, read when build_vr
+    # is called: 192,000 B past the matrix caps the 4,202 simplices of the
+    # 500-point sphere at 0.25 to 1,000
     dm = distance_matrix(gen_fibonacci_sphere(500))
     assert len(build_vr(dm, 0.25, 3, DIAMETER_EPS)) == 4_202
     price = phom.vr.ESTIMATED_BYTES_PER_SIMPLEX
-    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", 1_000 * price)
+    budget = dm.entries.nbytes + 1_000 * price
+    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
     with pytest.raises(ResourceError, match="more than 1000 simplices"):
         build_vr(dm, 0.25, 3, DIAMETER_EPS)
     assert len(build_vr(dm, 0.25, 3, DIAMETER_EPS, max_simplices=4_202)) == 4_202
     # a budget below one vertex's price is a resource limit, not bad input
-    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", price - 1)
+    budget = dm.entries.nbytes + price - 1
+    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
     with pytest.raises(ResourceError, match="budget of 0 simplices"):
         build_vr(dm, 0.25, 3, DIAMETER_EPS)
+
+
+def test_build_vr_default_cap_leaves_room_for_the_matrix(monkeypatch):
+    # the 500-point matrix holds 8 * 500^2 = 2,000,000 B, so a budget one
+    # byte short of it plus 4,202 simplices' price refuses the complex,
+    # which the whole budget over the price alone would admit
+    dm = distance_matrix(gen_fibonacci_sphere(500))
+    assert dm.entries.nbytes == 2_000_000
+    need = 2_000_000 + 4_202 * phom.vr.ESTIMATED_BYTES_PER_SIMPLEX
+    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", need - 1)
+    with pytest.raises(ResourceError, match="more than 4201 simplices"):
+        build_vr(dm, 0.25, 3, DIAMETER_EPS)
+    monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", need)
+    assert len(build_vr(dm, 0.25, 3, DIAMETER_EPS)) == 4_202
 
 
 def test_build_vr_hub_budget_counts_simplices(monkeypatch):

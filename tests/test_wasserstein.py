@@ -95,12 +95,8 @@ def test_matching_problem_pair_cost_cells():
     assert wasserstein_p(left, right, 1.0) == 2.0
 
 
-def test_matching_problem_diagonal_cost_cells(monkeypatch):
-    # with one side empty every bar goes to the diagonal, without a solve
-    def no_solver(graph):
-        raise AssertionError("one-sided problems need no assignment")
-
-    monkeypatch.setattr("scipy.sparse.csgraph.min_weight_full_bipartite_matching", no_solver)
+def test_matching_problem_diagonal_cost_cells():
+    # with one side empty every bar goes to the diagonal
     rng = np.random.default_rng(4)
     left = bc(iv(0, 0, 2), iv(0, 0.7, 0.7), *random_finite(rng, 0, 20))
     right = bc(iv(0, 0.5, math.sqrt(2) / 2), *random_finite(rng, 0, 15))
@@ -300,6 +296,9 @@ def test_wasserstein_infinite_mismatch():
     assert math.isinf(wasserstein_p(b1, b2, 2.0))
 
 
+# barcodes whose diagonal costs leave float range at p = 2 and p = 3
+LONG_BARS = bc(iv(0, 0, 1), iv(1, 0, 1e200))
+LONG_BAR = bc(iv(1, 0, 2e154))
 # (left, right, p, the p-th power of their distance or ComputationError)
 FLOAT_RANGE_CASES = (
     (
@@ -324,6 +323,9 @@ FLOAT_RANGE_CASES = (
         1.0,
         0.0,
     ),
+    # a barcode against itself is at 0 before any power is taken
+    (LONG_BARS, LONG_BARS, 2.0, 0.0),
+    (LONG_BAR, LONG_BAR, 3.0, 0.0),
 )
 
 
@@ -351,12 +353,13 @@ def test_wasserstein_refuses_powers_beyond_float_range():
     # both entry points share one rule, and no warning escapes (pytest
     # makes one an error): a pair whose cost leaves float range is never
     # matched, even when its endpoint difference overflows at p = 1, and a
-    # diagonal of half a length beyond float max is halved first
+    # diagonal of half a length beyond float max is halved first; a
+    # barcode compared with itself never reaches a matching
     for left, right, p, want in FLOAT_RANGE_CASES:
-        for solve in (
-            lambda: MatchingProblem(left, right, p).solve(),
-            lambda: wasserstein_p(left, right, p) ** p,
-        ):
+        solvers = [lambda: wasserstein_p(left, right, p) ** p]
+        if left is not right:
+            solvers.append(lambda: MatchingProblem(left, right, p).solve())
+        for solve in solvers:
             if want is ComputationError:
                 with pytest.raises(ComputationError, match=f"p = {p}"):
                     solve()
@@ -401,7 +404,11 @@ def test_matching_problem_hands_scipy_finite_nonzero_weights(monkeypatch):
 
     real = scipy.sparse.csgraph.min_weight_full_bipartite_matching
     monkeypatch.setattr(scipy.sparse.csgraph, "min_weight_full_bipartite_matching", matching)
-    problems = [case[:3] for case in FLOAT_RANGE_CASES if case[3] is not ComputationError]
+    problems = [
+        case[:3]
+        for case in FLOAT_RANGE_CASES
+        if case[0] is not case[1] and case[3] is not ComputationError
+    ]
     rng = np.random.default_rng(16)
     for p in (1.0, 2.0, 3.5) * 20:
         n, m = rng.integers(1, 30, 2)
