@@ -75,12 +75,6 @@ def _make_parser() -> _Parser:
     sphere.add_argument("--nu", type=int, required=True, help="longitude count")
     sphere.add_argument("--nv", type=int, required=True, help="latitude count")
     sphere.add_argument(
-        "--form",
-        choices=("standard", "y-cos"),
-        default="standard",
-        help="y component: sin(u)sin(v) (on-sphere) or sin(u)cos(v)",
-    )
-    sphere.add_argument(
         "--u-endpoint",
         action="store_true",
         help="include u = 2*pi as an extra grid column",
@@ -131,9 +125,6 @@ def _make_parser() -> _Parser:
     per.add_argument(
         "--min-length", type=float, default=0.0, help="drop bars of length <= this"
     )
-    per.add_argument(
-        "--keep-zero", action="store_true", help="keep zero-length bars"
-    )
     per.add_argument("--out", default=None, help="barcode CSV path (default stdout)")
 
     cmp_ = sub.add_parser("compare", help="Wasserstein distance between barcodes")
@@ -163,7 +154,6 @@ def _cmd_gen(args) -> int:
         cloud = generators.gen_sphere_latlon(
             args.nu,
             args.nv,
-            form=args.form,
             include_u_endpoint=args.u_endpoint,
             dedupe=not args.keep_duplicates,
         )
@@ -224,9 +214,7 @@ def _cmd_betti(args) -> int:
 
 def _cmd_persist(args) -> int:
     filtration = _build(args, geometry.read_point_csv(args.input), args.max_dim)
-    barcode = persistence.intervals(
-        filtration, min_length=args.min_length, keep_zero=args.keep_zero
-    )
+    barcode = persistence.intervals(filtration, min_length=args.min_length)
     persistence.write_barcode_csv(barcode, args.out or sys.stdout)
     if args.out:
         print(f"wrote {len(barcode)} intervals to {args.out}", file=sys.stderr)

@@ -41,7 +41,6 @@ _BYTES_PER_MSD_NODE = 768
 def gen_sphere_latlon(
     n_u: int,
     n_v: int,
-    form: str = "standard",
     include_u_endpoint: bool = False,
     dedupe: bool = True,
 ) -> PointCloud:
@@ -52,16 +51,12 @@ def gen_sphere_latlon(
     it, matching graphics-style linspace grids. Latitudes are
     v = pi*b/(n_v-1) for b = 0..n_v-1, poles included.
 
-    ``form`` selects the y component: "standard" uses y = sin(u)sin(v)
-    (points lie exactly on the sphere); "y-cos" uses y = sin(u)cos(v),
-    a formula that appears in some write-ups but does not stay on the
-    sphere. With ``dedupe`` coincident points (the n_u pole copies) are
-    merged, keeping first occurrence order.
+    A point is (cos(u)sin(v), sin(u)sin(v), cos(v)), on the sphere. With
+    ``dedupe`` coincident points (the n_u pole copies) are merged,
+    keeping first occurrence order.
     """
     if n_u < 3 or n_v < 2:
         raise InputError(f"grid too small: need n_u >= 3, n_v >= 2, got ({n_u}, {n_v})")
-    if form not in ("standard", "y-cos"):
-        raise InputError(f"unknown sphere form {form!r}")
     check_budget(_BYTES_PER_POINT * n_u * n_v, f"a {n_u} x {n_v} grid")
     if include_u_endpoint:
         us = np.linspace(0.0, 2.0 * math.pi, n_u)
@@ -78,7 +73,7 @@ def gen_sphere_latlon(
             sv, cv = 0.0, -1.0
         for u in us:
             x = math.cos(u) * sv + 0.0
-            y = (math.sin(u) * sv if form == "standard" else math.sin(u) * cv) + 0.0
+            y = math.sin(u) * sv + 0.0
             z = cv
             pts.append((x, y, z))
     if dedupe:

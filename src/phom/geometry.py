@@ -119,7 +119,8 @@ def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
     Computed from coordinate differences (not the Gram-matrix identity) so
     small distances keep full relative accuracy. It is exactly symmetric with
     a zero diagonal, since x_i - x_j and x_j - x_i square to the same floats,
-    summed in the same order. Over the memory budget it raises ResourceError.
+    summed in the same order. Over the memory budget it raises ResourceError,
+    and on points whose squared distances overflow it raises InputError.
     """
     x = cloud.coords
     n, dim = x.shape
@@ -127,9 +128,12 @@ def distance_matrix(cloud: PointCloud) -> DistanceMatrix:
     check_budget(9 * n * n, f"the distance matrix of {n} points")
     d = np.empty((n, n), dtype=np.float64)
     step = max(1, BLOCK_CELLS // (n * dim))
-    for lo in range(0, n, step):
-        diff = x[lo : lo + step, None, :] - x
-        d[lo : lo + step] = np.sqrt(np.sum(diff * diff, axis=-1))
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        for lo in range(0, n, step):
+            diff = x[lo : lo + step, None, :] - x
+            d[lo : lo + step] = np.sqrt(np.sum(diff * diff, axis=-1))
+            if np.isinf(d[lo : lo + step]).any():
+                raise InputError("squared distances between these points leave float range")
     d.setflags(write=False)
     return DistanceMatrix(d)
 

@@ -228,17 +228,14 @@ def _reduce_dimension(f: Filtration, k: int, paired: np.ndarray) -> tuple:
     return pairs, additions, cleared, apparent_pairs
 
 
-def intervals(
-    f: Filtration, min_length: float = 0.0, keep_zero: bool = False
-) -> Barcode:
+def intervals(f: Filtration, min_length: float = 0.0) -> Barcode:
     """Persistence barcode of a filtration, in dimensions below max_dim.
 
     Pair (i, j) becomes an interval of dimension dim(simplex i) over
     [birth(i), birth(j)); unpaired indices below the top dimension become
-    infinite bars. Zero length intervals are artifacts of simplices
-    entering at the same scale and are dropped unless ``keep_zero``;
-    finite intervals of length <= min_length are dropped; infinite bars
-    are always kept.
+    infinite bars. Finite intervals of length <= min_length are dropped,
+    so always those of zero length, which persist over no scale: their
+    simplices enter at the same scale. Infinite bars are always kept.
     """
     if not min_length >= 0.0:
         raise InputError(f"min_length must be nonnegative, got {min_length}")
@@ -253,7 +250,7 @@ def intervals(
     birth = f.births[first]
     death = np.concatenate([f.births[pairs[:, 1]], np.full(len(first) - len(pairs), math.inf)])
     length = death - birth
-    kept = (length > min_length) | (keep_zero & (length == 0.0)) | np.isinf(death)
+    kept = (length > min_length) | np.isinf(death)
     return Barcode._from_arrays(f.dims[first[kept]], birth[kept], death[kept], f.eps_max)
 
 

@@ -52,13 +52,6 @@ def test_latlon_standard_form_on_sphere():
     assert np.all(np.abs(norms - 1.0) <= 1e-12)
 
 
-def test_latlon_ycos_form_shares_x_and_z():
-    std = gen_sphere_latlon(8, 5, form="standard", dedupe=False)
-    alt = gen_sphere_latlon(8, 5, form="y-cos", dedupe=False)
-    assert np.array_equal(std.coords[:, 0], alt.coords[:, 0])
-    assert np.array_equal(std.coords[:, 2], alt.coords[:, 2])
-
-
 def test_latlon_u_endpoint_and_duplicates():
     raw = gen_sphere_latlon(20, 10, include_u_endpoint=True, dedupe=False)
     assert len(raw) == 200

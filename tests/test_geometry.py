@@ -88,6 +88,21 @@ def test_distance_matrix_refuses_oversized():
         assert peak < 16 * 1024
 
 
+def test_distance_matrix_refuses_squared_distances_beyond_float_range():
+    # finite points whose difference, square or sum of squares overflows are
+    # refused by name, and numpy's overflow warning (an error in this suite)
+    # is never raised
+    for pts in (
+        [[1e200, 0.0], [-1e200, 0.0]],
+        [[1e308], [-1e308]],
+        [[1.5e154], [0.0]],
+        [[1e154, 1e154], [0.0, 0.0]],
+    ):
+        with pytest.raises(InputError, match="float range"):
+            distance_matrix(PointCloud(pts))
+    assert distance_matrix(PointCloud([[1e154], [0.0]])).entries[0, 1] == 1e154
+
+
 def test_distance_matrix_peak_within_priced_cost():
     # blocks of at most BLOCK_CELLS coordinate differences, so the peak
     # above the input is the 8 n^2 B matrix and the n^2 B bool that each

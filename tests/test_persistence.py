@@ -1,4 +1,5 @@
 import ast
+import io
 import math
 import pathlib
 import tracemalloc
@@ -157,7 +158,7 @@ def test_intervals_stop_below_max_dim():
     # square's four triangles one triangle, yet neither is Rips homology
     for f in (make_filtration(np.eye(5), 1.0, 3), build_vr(distance_matrix(SQUARE), 1.0, 2)):
         assert len(f.facets[f.max_dim])
-        barcode = intervals(f, keep_zero=True)
+        barcode = intervals(f)
         assert barcode.dims.tolist() and max(barcode.dims.tolist()) < f.max_dim
     assert betti_curve(intervals(make_filtration(np.eye(5), 1.0, 3)), 1.0, 2) == [1, 0, 0]
 
@@ -178,12 +179,10 @@ def test_intervals_square_loop():
 
 def test_intervals_zero_length_dropped_and_kept():
     # equilateral triangle: both non-surviving vertices die at the same
-    # scale the edges arrive, leaving a zero bar only under keep_zero
+    # scale the edges arrive, and the zero bars they leave are dropped
     pts = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]
     f = make_filtration(pts, 1.0, 2)
     plain = intervals(f)
-    kept = intervals(f, keep_zero=True)
-    assert len(kept) >= len(plain)
     assert all(iv.death - iv.birth > 0.0 for iv in plain)
 
 
@@ -323,7 +322,7 @@ def test_betti_numbers_collapses_only_when_it_pays(monkeypatch):
 
 
 def test_barcode_csv_round_trip(tmp_path):
-    barcode = intervals(build_vr(distance_matrix(SQUARE), 1.0, 2), keep_zero=True)
+    barcode = intervals(build_vr(distance_matrix(SQUARE), 1.0, 2))
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     write_barcode_csv(barcode, p1)
@@ -331,6 +330,31 @@ def test_barcode_csv_round_trip(tmp_path):
     write_barcode_csv(again, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert b"inf" in p1.read_bytes()
+
+
+def test_vertex_permutation_keeps_every_output_byte():
+    # the benchmark's seeds permute a workload's vertices and expect the same
+    # bytes: births are distances, and a barcode does not depend on how ties
+    # between them are ordered
+    rng = np.random.default_rng(33)
+    for case in range(60):
+        n = int(rng.integers(4, 16))
+        if case % 3 == 0:  # a small integer lattice, heavy with tied distances
+            pts = rng.integers(0, 3, size=(n, int(rng.integers(2, 4)))).astype(float)
+        elif case % 3 == 1:  # duplicated points
+            base = rng.uniform(size=(n // 2 + 1, int(rng.integers(1, 4))))
+            pts = base[rng.integers(0, len(base), n)]
+        else:
+            pts = rng.uniform(size=(n, int(rng.integers(1, 4))))
+        rule, max_dim = EDGE_RULES[case % 2], 2 + (case // 2) % 2
+        eps = float(rng.uniform(0.3, 1.5))
+        outputs = []
+        for cloud in (pts, pts[rng.permutation(n)]):
+            f = build_vr(distance_matrix(PointCloud(cloud)), eps, max_dim, rule)
+            csv = io.StringIO()
+            write_barcode_csv(intervals(f), csv)
+            outputs.append((csv.getvalue(), betti_numbers(f, eps, max_dim - 1)))
+        assert outputs[0] == outputs[1], (case, pts.tolist())
 
 
 def test_barcode_csv_rejects_bad_header(tmp_path):

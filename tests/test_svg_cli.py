@@ -1,5 +1,10 @@
+import argparse
+import contextlib
 import hashlib
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -22,6 +27,7 @@ from phom import (
 from phom.cli import main
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
 
 
 def square_barcode():
@@ -281,7 +287,7 @@ def test_cli_persist_to_stdout(tmp_path, capsys):
     assert "0,0,inf" in out
     # stdout and --out are one writer: the same bytes
     bc = tmp_path / "bc.csv"
-    args = ("persist", str(pts), "--eps", "0.6", "--max-dim", "3", "--keep-zero")
+    args = ("persist", str(pts), "--eps", "0.6", "--max-dim", "3")
     assert run_cli(*args) == 0
     streamed = capsys.readouterr().out.encode()
     assert run_cli(*args, "--out", str(bc)) == 0
@@ -546,3 +552,76 @@ def test_cli_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "persist" in proc.stdout and "compare" in proc.stdout
+
+
+def test_cli_refuses_distances_beyond_float_range(tmp_path):
+    # a fresh process shows what numpy prints on its first overflow
+    pts = tmp_path / "far.csv"
+    pts.write_text("1e200,0\n-1e200,0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "phom.cli", "vr", str(pts), "--eps", "1", "--max-dim", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "float range" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def _flags(parser, command=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _flags(sub, command + (name,))
+        for flag in action.option_strings:
+            if flag.startswith("--") and flag != "--help":
+                yield " ".join(command), flag
+
+
+def test_readme_names_every_cli_flag():
+    missing = [
+        (command, flag)
+        for command, flag in _flags(phom.cli._make_parser())
+        if not re.search(re.escape(flag) + r"(?![\w-])", README)
+    ]
+    assert missing == []
+
+
+def test_readme_walkthrough_prints_what_it_says(tmp_path, monkeypatch, capsys):
+    # each phom line of the walkthrough runs in an empty directory; a comment
+    # line right below a command states what that command prints or writes
+    monkeypatch.chdir(tmp_path)
+    block = README.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    ran, last = [], None
+    for line in block.splitlines():
+        code, _, note = (part.strip() for part in line.partition("#"))
+        if code:
+            argv = shlex.split(code)
+            assert argv[0] == "phom", line
+            # gen msd's default grid reaches negative stiffness, and says so
+            with (
+                pytest.warns(UserWarning, match="negative effective stiffness")
+                if argv[1:3] == ["gen", "msd"]
+                else contextlib.nullcontext()
+            ):
+                assert main(argv[1:]) == 0, line
+            last = [argv[1:], capsys.readouterr().out, note]
+            ran.append(last)
+        elif note and last is not None:
+            last[2] = note
+        last = last if line else None
+    stated = [(argv[0], note) for argv, _, note in ran if note]
+    assert stated == [
+        ("vr", "dim 0: 500 / dim 1: 1797 / dim 2: 1602 / dim 3: 303 / total: 4202"),
+        ("betti", "[1,0,1]"),
+        ("betti", "[1,0,0,0]"),
+        ("persist", "913 bars, of dims 0-3 only: a barcode stops below --max-dim"),
+    ]
+    for argv, out, note in ran:
+        if argv[0] == "vr" and note:
+            assert " / ".join(out.splitlines()) == note
+        elif argv[0] == "betti" and note:
+            assert out.strip() == note
+        elif argv[0] == "persist" and note:
+            rows = pathlib.Path(argv[argv.index("--out") + 1]).read_text().splitlines()[1:]
+            assert len(rows) == 913 and {row.split(",")[0] for row in rows} == {"0", "1", "2", "3"}
+    assert len(ran) == 11 and ran[-1][1].startswith("d_Wp = ")
