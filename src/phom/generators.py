@@ -101,6 +101,14 @@ def gen_fibonacci_sphere(n_p: int) -> PointCloud:
     return PointCloud(pts)
 
 
+# MsdConfig warns with this, and the frequency embedding refuses with it
+def _negative_stiffness(f: float) -> str:
+    return (
+        f"grid reaches negative effective stiffness (min factor {f:.4g}); "
+        "natural frequencies are imaginary there"
+    )
+
+
 @dataclass(frozen=True)
 class MsdConfig:
     """Parameters of the 3DOF mass-spring chain and its evaluation grid.
@@ -155,11 +163,7 @@ class MsdConfig:
             # The default grid itself reaches this region (alpha2*T up to
             # 2.5), so a hard error would reject the shipped configuration;
             # the eigenvalue embedding stays well defined regardless.
-            warnings.warn(
-                f"grid reaches negative effective stiffness (min factor {f:.4g}); "
-                "natural frequencies are imaginary there",
-                stacklevel=2,
-            )
+            warnings.warn(_negative_stiffness(f), stacklevel=2)
 
     def grid_t(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.t_divs)
@@ -171,7 +175,9 @@ class MsdConfig:
         return np.linspace(self.d_min, self.d_max, self.d_divs)
 
     def min_stiffness_factor(self) -> float:
-        """Smallest (1 - alpha2*T)*(1 - D2) over the whole grid."""
+        """Smallest (1 - alpha2*T)*(1 - D2) over the whole grid: the factor
+        is linear in each variable, so that is at a corner, which linspace
+        hits exactly."""
         f = [
             (1.0 - a * t) * (1.0 - d)
             for t in (self.t_min, self.t_max)
@@ -184,24 +190,16 @@ class MsdConfig:
         return replace(self, mode_index=mode_index)
 
 
-def stiffness_matrix(cfg: MsdConfig, t, alpha2, d2, allow_negative: bool = False) -> np.ndarray:
+def stiffness_matrix(cfg: MsdConfig, t, alpha2, d2) -> np.ndarray:
     """Stiffness matrices of the chain with the softened middle spring.
 
     ``t``, ``alpha2`` and ``d2`` broadcast against each other; the result
-    has their shape followed by (3, 3). Raises InputError naming the first
-    node, in row-major order, whose effective stiffness factor
-    (1 - alpha2*t)*(1 - d2) is negative, unless ``allow_negative`` is set
-    (needed to evaluate the full default grid, whose corner reaches
-    factor -1.5).
+    has their shape followed by (3, 3), also where the effective stiffness
+    factor (1 - alpha2*t)*(1 - d2) is negative, as it is (-1.5) at a
+    corner of the default grid.
     """
     t, alpha2, d2 = np.broadcast_arrays(t, alpha2, d2)
     factor = (1.0 - alpha2 * t) * (1.0 - d2)
-    if not allow_negative and np.any(factor < 0.0):
-        i = np.argmax(factor < 0.0)
-        raise InputError(
-            f"negative effective stiffness: (1 - {alpha2.flat[i]}*{t.flat[i]})"
-            f"*(1 - {d2.flat[i]}) = {factor.flat[i]:.6g}"
-        )
     e = cfg.k2 * factor
     k = np.zeros(e.shape + (3, 3))
     k[..., 0, 0] = cfg.k1 + e
@@ -253,19 +251,19 @@ def _jacobi_eigh(a: np.ndarray):
     raise ComputationError("Jacobi eigensolver did not converge in 50 sweeps")
 
 
-def natural_frequencies(cfg: MsdConfig, t, alpha2, d2, allow_negative: bool = False) -> np.ndarray:
+def natural_frequencies(cfg: MsdConfig, t, alpha2, d2) -> np.ndarray:
     """Eigenvalues lambda = omega^2 of M^-1 K for the chain at every node
     of a grid, sorted ascending.
 
     ``t``, ``alpha2`` and ``d2`` broadcast as in ``stiffness_matrix``, and
-    the float64 result has their shape followed by (3,). With
-    ``allow_negative`` a node of negative effective stiffness may have a
-    negative eigenvalue, which has no real natural frequency. Solved on the
-    symmetrized matrices M^-1/2 K M^-1/2 (similar to M^-1 K, so same
-    spectrum) by cyclic Jacobi rotations. Each eigenpair is verified
-    against the residual bound |M^-1 K x - lam x| <= 1e-9 |K|.
+    the float64 result has their shape followed by (3,). A node of
+    negative effective stiffness may have a negative eigenvalue, which has
+    no real natural frequency. Solved on the symmetrized matrices
+    M^-1/2 K M^-1/2 (similar to M^-1 K, so same spectrum) by cyclic
+    Jacobi rotations. Each eigenpair is verified against the residual
+    bound |M^-1 K x - lam x| <= 1e-9 |K|.
     """
-    k = stiffness_matrix(cfg, t, alpha2, d2, allow_negative=allow_negative)
+    k = stiffness_matrix(cfg, t, alpha2, d2)
     m = np.array([cfg.m1, cfg.m2, cfg.m3])
     inv_sqrt_m = 1.0 / np.sqrt(m)
     lams, vecs = _jacobi_eigh((k * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]).reshape(-1, 3, 3))
@@ -290,8 +288,8 @@ def gen_msd_manifold(cfg: MsdConfig, embed: str = "eigenvalue") -> PointCloud:
     One point per grid node, row-major over (T, alpha2, D2). ``embed``
     selects the fourth coordinate: "eigenvalue" uses the mode's eigenvalue
     of M^-1 K directly (negative on unphysical nodes, which the default
-    grid contains); "frequency" uses its square root and therefore rejects
-    grids that reach negative effective stiffness.
+    grid contains); "frequency" uses its square root and therefore raises
+    InputError, before solving, when ``cfg.min_stiffness_factor()`` < 0.
 
     Every dimension whose largest value over the cloud is positive is
     then divided by that value; the others are left as they are. An
@@ -301,12 +299,13 @@ def gen_msd_manifold(cfg: MsdConfig, embed: str = "eigenvalue") -> PointCloud:
     """
     if embed not in ("eigenvalue", "frequency"):
         raise InputError(f"unknown embed choice {embed!r}")
+    if embed == "frequency" and cfg.min_stiffness_factor() < 0.0:
+        raise InputError(_negative_stiffness(cfg.min_stiffness_factor()))
     n = cfg.t_divs * cfg.alpha_divs * cfg.d_divs
     check_budget(_BYTES_PER_MSD_NODE * n, f"a grid of {n} nodes")
-    allow = embed == "eigenvalue"
     grid = np.meshgrid(cfg.grid_t(), cfg.grid_alpha(), cfg.grid_d(), indexing="ij")
-    value = natural_frequencies(cfg, *grid, allow_negative=allow)
-    if not allow:
+    value = natural_frequencies(cfg, *grid)
+    if embed == "frequency":
         low = value[..., 0]
         if np.any(low < 0.0):
             first = low.flat[np.argmax(low < 0.0)]

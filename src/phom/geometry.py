@@ -81,14 +81,16 @@ class PointCloud:
 
 
 class DistanceMatrix:
-    """Symmetric nonnegative n x n matrix with a zero diagonal. A writeable
-    input is copied; a read-only one, as distance_matrix passes, is kept."""
+    """Symmetric nonnegative n x n matrix with a zero diagonal. An input
+    that is read-only and owns its memory, as distance_matrix passes, is
+    kept; any other is copied, as a read-only view's base may still be
+    written to."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
         m = np.asarray(entries, dtype=np.float64)
-        if m.flags.writeable:
+        if m.flags.writeable or m.base is not None:
             m = m.copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InputError("distance matrix must be square and nonempty")

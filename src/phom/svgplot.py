@@ -13,9 +13,15 @@ from collections import Counter
 import numpy as np
 
 from .errors import InputError
+from .geometry import check_budget
 from .persistence import Barcode
 
 __all__ = ["render_barcode_svg", "render_diagram_svg"]
+
+# Budget guard: rendering peaks (tracemalloc) at 320-330 B per bar in the
+# diagram view and 440-450 B in the barcode view, 750-770 B when every bar
+# is infinite and gets an arrowhead, at 2*10^4 and 2*10^5 bars.
+_BYTES_PER_SVG_BAR = 1024
 
 # one color per homology dimension, cycling past the end
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -40,10 +46,12 @@ def _span(b: Barcode) -> float:
 
 def _frame(b: Barcode, width: float, height: float, ml: float) -> list[str]:
     """What both views open with: the header, a white background and one
-    legend swatch per dimension present, from x = ml. An empty barcode is
-    refused before anything is drawn or written."""
+    legend swatch per dimension present, from x = ml. An empty barcode,
+    or one whose SVG would not fit in the memory budget, is refused
+    before anything is drawn or written."""
     if len(b) == 0:
         raise InputError("cannot render an empty barcode")
+    check_budget(_BYTES_PER_SVG_BAR * len(b), f"an SVG of {len(b)} bars")
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '

@@ -137,16 +137,18 @@ def build_vr(
     raised.
     """
     if not 0.0 < eps_max < math.inf:
-        raise InputError(f"eps_max must be positive and finite, got {eps_max}")
+        raise InputError(f"eps_max (--eps) must be positive and finite, got {eps_max}")
     n = dm.n
     if not 0 <= max_dim <= n - 1:
-        raise InputError(f"max_dim must be in [0, {n - 1}], got {max_dim}")
+        raise InputError(f"max_dim (--max-dim) must be in [0, {n - 1}], got {max_dim}")
     scale = _birth_scale(edge_rule)
     if max_simplices is None:  # geometry's budget, read when called, less the matrix
         room = max(0, geometry.DEFAULT_MEMORY_BUDGET_BYTES - dm.entries.nbytes)
         max_simplices = room // ESTIMATED_BYTES_PER_SIMPLEX
     elif max_simplices < 1:
-        raise InputError(f"max_simplices must be positive, got {max_simplices}")
+        raise InputError(
+            f"max_simplices (--max-simplices) must be positive, got {max_simplices}"
+        )
     if max_simplices < n:
         raise ResourceError(
             f"budget of {max_simplices} simplices cannot hold {n} vertices"
@@ -194,7 +196,7 @@ def build_vr(
             if count > max_simplices:
                 raise ResourceError(
                     f"simplex budget exceeded: more than {max_simplices} "
-                    f"simplices at dimension {k} (override with max_simplices)"
+                    f"simplices at dimension {k}; override with max_simplices (--max-simplices)"
                 )
             b = top[second]
             fac = np.empty((len(first), k + 1), dtype=np.int32)

@@ -113,22 +113,17 @@ def test_stiffness_matrix_self_intersection_pair():
     assert np.array_equal(a, b)
 
 
-def test_stiffness_matrix_negative_factor_rejected():
+def test_stiffness_matrix_negative_factor_computed():
+    # the unphysical region gets its matrices; only the frequency
+    # embedding refuses it, off MsdConfig.min_stiffness_factor()
     cfg = paper_cfg()
-    with pytest.raises(InputError):
-        stiffness_matrix(cfg, 500.0, 0.005, 0.0)
-    # explicit opt-in allows the unphysical region
-    k = stiffness_matrix(cfg, 500.0, 0.005, 0.0, allow_negative=True)
+    k = stiffness_matrix(cfg, 500.0, 0.005, 0.0)
     assert k[0, 0] == 10000.0 + 10000.0 * (1.0 - 2.5)
-    # on a grid, the message names the first negative node in row-major order
     t = np.array([[250.0, 500.0], [250.0, 500.0]])
     alpha = np.array([[0.001, 0.003], [0.005, 0.005]])
-    with pytest.raises(InputError) as err:
-        stiffness_matrix(cfg, t, alpha, 0.0)
-    assert str(err.value) == "negative effective stiffness: (1 - 0.003*500.0)*(1 - 0.0) = -0.5"
-    k = stiffness_matrix(cfg, t, alpha, 0.0, allow_negative=True)
+    k = stiffness_matrix(cfg, t, alpha, 0.0)
     assert k.shape == (2, 2, 3, 3)
-    assert np.array_equal(k[1, 1], stiffness_matrix(cfg, 500.0, 0.005, 0.0, allow_negative=True))
+    assert np.array_equal(k[1, 1], stiffness_matrix(cfg, 500.0, 0.005, 0.0))
 
 
 def test_natural_frequencies_toeplitz():
@@ -272,7 +267,41 @@ def test_msd_manifold_frequency_embedding():
 def test_msd_manifold_frequency_rejects_unphysical_grid():
     with pytest.raises(InputError) as err:
         gen_msd_manifold(paper_cfg(mode_index=1), embed="frequency")
-    assert str(err.value) == "negative effective stiffness: (1 - 0.005*250.0)*(1 - 0.0) = -0.25"
+    assert str(err.value) == (
+        "grid reaches negative effective stiffness (min factor -1.5); "
+        "natural frequencies are imaginary there"
+    )
+
+
+def test_msd_manifold_frequency_refusal_matches_every_node():
+    # the refusal reads only the grid's corners; it must fire exactly when
+    # some node's factor, computed as stiffness_matrix computes it, is < 0
+    rng = np.random.default_rng(11)
+    refused = 0
+    for i in range(300):
+        t_min = rng.uniform(0, 400)
+        t_max = t_min + rng.uniform(0, 400)
+        alpha_min = rng.uniform(0, 0.004)
+        alpha_max = alpha_min + rng.uniform(0, 0.004)
+        if i % 3 == 0:  # alpha2*T = 1 at a corner, or one ulp of alpha2 past it
+            alpha_max = float(np.nextafter(1.0 / t_max, 1.0)) if i % 2 else 1.0 / t_max
+            alpha_min = min(alpha_min, alpha_max)
+        d_min = rng.uniform(0, 1)
+        d_max = 1.0 if i % 4 == 0 else rng.uniform(d_min, 1)
+        cfg = paper_cfg(
+            t_min=t_min, t_max=t_max, t_divs=int(rng.integers(2, 6)),
+            alpha_min=alpha_min, alpha_max=alpha_max, alpha_divs=int(rng.integers(2, 6)),
+            d_min=d_min, d_max=d_max, d_divs=int(rng.integers(2, 6)),
+        )
+        t, a, d = np.meshgrid(cfg.grid_t(), cfg.grid_alpha(), cfg.grid_d(), indexing="ij")
+        negative = bool(np.any((1.0 - a * t) * (1.0 - d) < 0.0))
+        if negative:
+            with pytest.raises(InputError, match="negative effective stiffness"):
+                gen_msd_manifold(cfg, embed="frequency")
+            refused += 1
+        else:
+            assert len(gen_msd_manifold(cfg, embed="frequency")) == t.size
+    assert 50 < refused < 250
 
 
 def assert_matches_oracle(cfg, embed="eigenvalue"):
@@ -316,10 +345,10 @@ def test_msd_manifold_random_configs_match_oracle():
 def test_natural_frequencies_array_matches_scalar_calls():
     cfg = paper_cfg()
     t, a, d = np.meshgrid(cfg.grid_t(), cfg.grid_alpha(), cfg.grid_d(), indexing="ij")
-    lams = natural_frequencies(cfg, t, a, d, allow_negative=True)
+    lams = natural_frequencies(cfg, t, a, d)
     assert lams.shape == t.shape + (3,)
     for node in np.ndindex(t.shape):
-        one = natural_frequencies(cfg, t[node], a[node], d[node], allow_negative=True)
+        one = natural_frequencies(cfg, t[node], a[node], d[node])
         assert one.shape == (3,)
         assert one.tobytes() == lams[node].tobytes()
     assert stiffness_matrix(cfg, 300.0, 0.001, 0.5).shape == (3, 3)
@@ -375,9 +404,9 @@ def test_self_intersection_family():
     for nodes in by_factor.values():
         if len(nodes) < 2:
             continue
-        base = natural_frequencies(cfg, *nodes[0], allow_negative=True)
+        base = natural_frequencies(cfg, *nodes[0])
         for other in nodes[1:]:
-            got = natural_frequencies(cfg, *other, allow_negative=True)
+            got = natural_frequencies(cfg, *other)
             for x, y in zip(base, got):
                 assert math.isclose(x, y, rel_tol=1e-10, abs_tol=1e-10)
             checked += 1

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from phom import (
+    DIAMETER_EPS,
     DistanceMatrix,
     InputError,
     PointCloud,
     ResourceError,
+    build_vr,
     distance_matrix,
     gen_fibonacci_sphere,
     geometry,
@@ -68,6 +70,19 @@ def test_constructors_leave_caller_arrays_alone():
     assert np.array_equal(cloud.coords, x0) and np.array_equal(dm.entries, d0)
     # a read-only matrix, as distance_matrix makes, is kept without a copy
     assert DistanceMatrix(dm.entries).entries is dm.entries
+
+
+def test_distance_matrix_copies_a_read_only_view():
+    # a read-only view's base stays writeable, so writing to it after
+    # validation must not reach the matrix or the births built from it
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    v = a.view()
+    v.flags.writeable = False
+    dm = DistanceMatrix(v)
+    a[0, 1] = -5.0
+    assert np.array_equal(dm.entries, [[0.0, 1.0], [1.0, 0.0]])
+    f = build_vr(dm, 1.0, 1, edge_rule=DIAMETER_EPS)
+    assert f.births.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_distance_matrix_refuses_oversized():

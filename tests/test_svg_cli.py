@@ -7,11 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
 import phom.cli
+import phom.geometry
+import phom.svgplot
 import phom.vr
 from phom import (
     Barcode,
@@ -67,6 +70,37 @@ def test_barcode_svg_rejects_empty(tmp_path):
         with pytest.raises(InputError, match="empty barcode"):
             render(Barcode((), eps_max=1.0), out)
         assert not out.exists(), render.__name__
+
+
+def test_svg_peak_memory_within_priced_cost(tmp_path):
+    # the budget guard prices a plot at _BYTES_PER_SVG_BAR per bar; every
+    # bar infinite is the barcode view's dearest case, an arrowhead each
+    n = 20_000
+    bc = Barcode([PersistenceInterval(0, i / n, math.inf) for i in range(n)], eps_max=1.0)
+    for render in (render_barcode_svg, render_diagram_svg):
+        tracemalloc.start()
+        try:
+            render(bc, tmp_path / "big.svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= phom.svgplot._BYTES_PER_SVG_BAR, render.__name__
+
+
+def test_cli_plot_refuses_over_budget(tmp_path, capsys, monkeypatch):
+    # a plot over the memory budget exits 2 before its file is opened
+    bc = tmp_path / "bc.csv"
+    bc.write_text("dim,birth,death\n" + "".join(f"0,0,{i + 1}\n" for i in range(100)))
+    need = 100 * phom.svgplot._BYTES_PER_SVG_BAR
+    for kind in ("barcode", "diagram"):
+        out = tmp_path / f"{kind}.svg"
+        monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", need - 1)
+        assert run_cli("plot", kind, str(bc), "--out", str(out)) == 2, kind
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists(), kind
+        monkeypatch.setattr(phom.geometry, "DEFAULT_MEMORY_BUDGET_BYTES", need)
+        assert run_cli("plot", kind, str(bc), "--out", str(out)) == 0, kind
+        svg_root(out)
 
 
 def test_diagram_svg_square(tmp_path):
